@@ -240,11 +240,6 @@ class PathCover:
         return out
 
 
-def path_cover(x_sizes: tuple[int, int, int],
-               mu: int | None = None) -> PathCover:
-    return PathCover(x_sizes, mu)
-
-
 def shorten_cycles(cycles: list[list[Vertex]],
                    cover: PathCover) -> list[list[Vertex]]:
     """Cut every cycle longer than 9 down to tripartite cycles of

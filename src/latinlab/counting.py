@@ -11,10 +11,11 @@ position; degenerate coincidences (equal rows, equal columns, repeated
 symbols, shared cells) are allowed.  The total count is sum of class^2
 over quadruples grouped by pattern; group tables hit exactly n^5 by the
 quadrangle condition.  Nondegenerate copies (four distinct rows, columns
-and symbols) are extracted per pattern class by inclusion-exclusion over
-the possible row/column coincidences, which the Latin property reduces
-to dictionary lookups: within a class, each of r1, r2, c1, c2 determines
-the member.
+and symbols) are the same-pattern pairs that share no row or column.  In
+a distinct-symbol class the Latin property makes each of r1, r2, c1, c2
+determine the member, so every row or column coincidence pins a unique
+partner, found for all classes at once by sorted lookups of (class,
+coordinate); no loop runs over the classes.
 
 Girth here is the triple-system girth: the smallest g > 3 such that some
 g vertices of the tripartite vertex set span g - 2 triples.  Girth
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LatinRectangle, LatinSquare, TripleSystem, to_triples
+from .core import LatinRectangle, LatinSquare, TripleSystem, to_triples, validate
 
 DEGENERACY_LABELS = (
     "same-2x2-distinct-symbols",
@@ -74,8 +75,7 @@ def _intercalates_grid(grid: np.ndarray, n: int) -> int:
 
 
 def _intercalates_triples(ts: TripleSystem) -> int:
-    if not ts_is_latin(ts):
-        raise ValueError("triple system is not a partial Latin square")
+    _require_latin(ts)
     by_cs = ts.by_cs
     by_rc = ts.by_rc
     rows: dict[int, list[tuple[int, int]]] = {}
@@ -102,6 +102,12 @@ def _intercalates_triples(ts: TripleSystem) -> int:
 # quadruple enumeration shared by the cuboctahedron counters
 
 
+def _require_latin(ts: TripleSystem) -> None:
+    report = validate(ts)
+    if not report:
+        raise ValueError(report.message)
+
+
 def _cells_of(obj) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     if isinstance(obj, (LatinSquare, LatinRectangle)):
         k, n = obj.grid.shape
@@ -113,27 +119,16 @@ def _cells_of(obj) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
             n,
         )
     if isinstance(obj, TripleSystem):
-        if not ts_is_latin(obj):
-            raise ValueError("triple system is not a partial Latin square")
+        _require_latin(obj)
         arr = np.array(obj.triples, dtype=np.int64).reshape(-1, 3)
         return arr[:, 0], arr[:, 1], arr[:, 2], obj.n
     raise TypeError(f"no cell view for {type(obj).__name__}")
 
 
-def ts_is_latin(ts: TripleSystem) -> bool:
-    t = ts.triples
-    return (
-        len({(r, c) for r, c, _ in t}) == len(t)
-        and len({(r, s) for r, _, s in t}) == len(t)
-        and len({(c, s) for _, c, s in t}) == len(t)
-    )
-
-
 def _pairs_within_groups(keys: np.ndarray):
-    """All ordered index pairs (P, Q), P != Q allowed later, grouped by key.
+    """All ordered index pairs (P, Q) of records that share a key.
 
-    Returns (P, Q) global index arrays covering every ordered pair of
-    records that share a key, diagonal included.
+    The diagonal P == Q is included.
     """
     order = np.argsort(keys, kind="stable")
     sk = keys[order]
@@ -153,36 +148,21 @@ def _pairs_within_groups(keys: np.ndarray):
     return P, Q
 
 
-def _column_cell_pairs(rows, cols, syms, n):
-    """Ordered pairs of distinct filled cells sharing a column.
-
-    Returns arrays (r1, r2, s1, s2, col); one record per ordered pair.
-    """
-    key = cols
-    P, Q = _pairs_within_groups(key)
-    keep = rows[P] != rows[Q]
-    P, Q = P[keep], Q[keep]
-    return rows[P], rows[Q], syms[P], syms[Q], cols[P]
+def _line_pairs(line: np.ndarray, other: np.ndarray):
+    """Ordered index pairs (P, Q) with line[P] == line[Q], other[P] != other[Q]."""
+    P, Q = _pairs_within_groups(line)
+    keep = other[P] != other[Q]
+    return P[keep], Q[keep]
 
 
-def _row_cell_pairs(rows, cols, syms, n):
-    key = rows
-    P, Q = _pairs_within_groups(key)
-    keep = cols[P] != cols[Q]
-    P, Q = P[keep], Q[keep]
-    return cols[P], cols[Q], syms[P], syms[Q], rows[P]
-
-
-def _proper_quadruples(obj):
+def _proper_quadruples(rows, cols, syms, n):
     """Ordered quadruples (r1, r2, c1, c2), r1 != r2, c1 != c2, all four
     cells filled, with their patterns (a, b, c, d)."""
-    rows, cols, syms, n = _cells_of(obj)
-    r1, r2, s1, s2, col = _column_cell_pairs(rows, cols, syms, n)
-    # pair up two column records sharing the ordered row pair (r1, r2)
-    key = r1 * n + r2
-    P, Q = _pairs_within_groups(key)
-    keep = col[P] != col[Q]
-    P, Q = P[keep], Q[keep]
+    # cells (r1, c) and (r2, c) sharing a column ...
+    P, Q = _line_pairs(cols, rows)
+    r1, r2, s1, s2, col = rows[P], rows[Q], syms[P], syms[Q], cols[P]
+    # ... paired with a second such record on the same ordered row pair
+    P, Q = _line_pairs(r1 * n + r2, col)
     return {
         "r1": r1[P],
         "r2": r2[P],
@@ -201,6 +181,11 @@ def _pattern_keys(q) -> np.ndarray:
     return ((q["a"] * n + q["b"]) * n + q["c"]) * n + q["d"]
 
 
+def _distinct_symbols(q) -> np.ndarray:
+    # a != b, a != c, b != d and c != d already hold by the Latin property
+    return (q["a"] != q["d"]) & (q["b"] != q["c"])
+
+
 # ---------------------------------------------------------------------------
 # totals
 
@@ -213,6 +198,10 @@ def count_cuboctahedra_total(obj) -> int:
 
 
 def _total_dense(sq: LatinSquare) -> int:
+    # Kept beside _total_generic for full squares: one np.unique over the
+    # n^4 pattern keys of the grid is faster than enumerating cell pairs
+    # (timings in CHANGES.md).  Partial inputs have no grid and take the
+    # generic path.
     n = sq.n
     if n > 64:
         raise ValueError("dense cuboctahedron totals are desk-capped at n <= 64")
@@ -235,108 +224,86 @@ def _group_square_sum(keys: np.ndarray) -> tuple[int, int]:
     return int((counts**2).sum()), int(counts.sum())
 
 
+def _collapsed_shapes(rows, cols, syms, n) -> list[tuple[int, int]]:
+    """_group_square_sum of the 1x1, 2x1 and 1x2 quadruple shapes.
+
+    (r, r, c, c) is keyed by its symbol, (r1, r2, c, c) and (r, r, c1, c2)
+    by their symbol pairs.
+    """
+    P, Q = _line_pairs(cols, rows)
+    P2, Q2 = _line_pairs(rows, cols)
+    return [
+        _group_square_sum(syms),
+        _group_square_sum(syms[P] * n + syms[Q]),
+        _group_square_sum(syms[P2] * n + syms[Q2]),
+    ]
+
+
 def _total_generic(obj) -> int:
-    rows, cols, syms, n = _cells_of(obj)
-    total = 0
-    # 1x1 shape: quadruples (r, r, c, c); classes keyed by the symbol
-    sq, _ = _group_square_sum(syms)
-    total += sq
-    # 2x1 shape: (r1, r2, c, c) with r1 != r2; classes by (s1, s2)
-    r1, r2, s1, s2, _c = _column_cell_pairs(rows, cols, syms, n)
-    sq, _ = _group_square_sum(s1 * n + s2)
-    total += sq
-    # 1x2 shape: (r, r, c1, c2); classes by (s1, s2)
-    c1, c2, s1, s2, _r = _row_cell_pairs(rows, cols, syms, n)
-    sq, _ = _group_square_sum(s1 * n + s2)
-    total += sq
-    # proper 2x2 shape
-    q = _proper_quadruples(obj)
-    sq, _ = _group_square_sum(_pattern_keys(q))
-    total += sq
-    return total
+    cells = _cells_of(obj)
+    proper, _ = _group_square_sum(_pattern_keys(_proper_quadruples(*cells)))
+    return proper + sum(sq for sq, _ in _collapsed_shapes(*cells))
 
 
 # ---------------------------------------------------------------------------
 # nondegenerate copies and the degeneracy breakdown
 
 
-def _class_slices(keys: np.ndarray):
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    boundaries = np.flatnonzero(np.diff(sk)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(sk)]))
-    return order, starts, ends
+def _partners(cls, src, dst, n):
+    """Index pairs (i, j) with cls[j] == cls[i] and src[j] == dst[i].
 
-
-def _class_nondeg_pairs(R1, R2, C1, C2) -> int:
-    """Ordered pairs in one pattern class with disjoint rows and columns.
-
-    The class comes from a distinct-symbol pattern, so each coordinate is
-    injective across members and every coincidence event pins its partner.
+    ``src`` must be injective within each class, so each i has at most
+    one partner; it is found by one sorted lookup of (class, coordinate).
     """
-    m = len(R1)
-    if m == 1:
-        return 0
-    idx_r1 = {int(v): i for i, v in enumerate(R1)}
-    idx_r2 = {int(v): i for i, v in enumerate(R2)}
-    idx_c1 = {int(v): i for i, v in enumerate(C1)}
-    e1 = e1e2 = e1f1 = e1f2 = e1e2f1 = e1e2f2 = e1f1f2 = e1e2f1f2 = 0
-    e2f1 = e2f2 = e2f1f2 = 0
-    f1 = f1f2 = 0
-    for i in range(m):
-        j = idx_r1.get(int(R2[i]))
-        if j is not None:  # E1: r1' = r2
-            e1 += 1
-            be2 = R2[j] == R1[i]
-            bf1 = C1[j] == C2[i]
-            bf2 = C2[j] == C1[i]
-            e1e2 += be2
-            e1f1 += bf1
-            e1f2 += bf2
-            e1e2f1 += be2 and bf1
-            e1e2f2 += be2 and bf2
-            e1f1f2 += bf1 and bf2
-            e1e2f1f2 += be2 and bf1 and bf2
-        j = idx_r2.get(int(R1[i]))
-        if j is not None:  # E2: r2' = r1
-            e2f1 += C1[j] == C2[i]
-            e2f2 += C2[j] == C1[i]
-            e2f1f2 += C1[j] == C2[i] and C2[j] == C1[i]
-        j = idx_c1.get(int(C2[i]))
-        if j is not None:  # F1: c1' = c2
-            f1 += 1
-            f1f2 += C2[j] == C1[i]
-    e2 = e1
-    f2 = f1
-    row_overlap = m + e1 + e2 - e1e2
-    col_overlap = m + f1 + f2 - f1f2
-    both = (
-        m
-        + (e1f1 + e1f2 + e2f1 + e2f2)
-        - (e1e2f1 + e1e2f2 + e1f1f2 + e2f1f2)
-        + e1e2f1f2
+    key = cls * n + src
+    order = np.argsort(key)
+    sk = key[order]
+    want = cls * n + dst
+    pos = np.minimum(np.searchsorted(sk, want), len(sk) - 1)
+    i = np.flatnonzero(sk[pos] == want)
+    return i, order[pos[i]]
+
+
+def _distinct_class_sums(q) -> tuple[int, int, int]:
+    """(sum m, sum m^2, nondegenerate pairs) over the distinct-symbol
+    pattern classes, m being the size of a class.
+
+    In such a class each of r1, r2, c1, c2 determines the member, so a
+    pair of distinct members shares a row exactly when r1' = r2 (event
+    E1) or r2' = r1 (E2), and a column exactly when c1' = c2 (F1) or
+    c2' = c1 (F2).  E2 and F2 are the transposes of E1 and F1, and the
+    pairs sharing a row or column are the union of the four.
+    """
+    distinct = _distinct_symbols(q)
+    _, cls, sizes = np.unique(
+        _pattern_keys(q)[distinct], return_inverse=True, return_counts=True
     )
-    bad = row_overlap + col_overlap - both
-    return m * m - bad
+    sum_m = int(sizes.sum())
+    sum_m2 = int((sizes.astype(np.int64) ** 2).sum())
+    # singleton classes have no pair besides the diagonal
+    multi = sizes[cls] > 1
+    cls = cls[multi]
+    R1, R2, C1, C2 = (q[k][distinct][multi] for k in ("r1", "r2", "c1", "c2"))
+    n, m = q["n"], len(cls)
+    e_i, e_j = _partners(cls, R1, R2, n)
+    f_i, f_j = _partners(cls, C1, C2, n)
+    sharing = np.unique(np.concatenate(
+        (e_i * m + e_j, e_j * m + e_i, f_i * m + f_j, f_j * m + f_i)
+    ))
+    return sum_m, sum_m2, sum_m2 - sum_m - len(sharing)
 
 
 def count_cuboctahedra_nondegenerate(obj) -> int:
     """Same-pattern quadruple pairs with 4 distinct rows, columns, symbols."""
-    q = _proper_quadruples(obj)
-    a, b, c, d = q["a"], q["b"], q["c"], q["d"]
-    distinct = (a != d) & (b != c)  # a!=b, a!=c, b!=d, c!=d hold by Latin
-    keys = _pattern_keys(q)[distinct]
-    R1, R2 = q["r1"][distinct], q["r2"][distinct]
-    C1, C2 = q["c1"][distinct], q["c2"][distinct]
-    order, starts, ends = _class_slices(keys)
-    total = 0
-    for s, e in zip(starts, ends):
-        if e - s < 2:
-            continue
-        idx = order[s:e]
-        total += _class_nondeg_pairs(R1[idx], R2[idx], C1[idx], C2[idx])
-    return total
+    return _distinct_class_sums(_proper_quadruples(*_cells_of(obj)))[2]
+
+
+def _overlap(x1, x2, P, Q) -> np.ndarray:
+    """|{x1[P], x2[P]} & {x1[Q], x2[Q]}| for pairs with x1 != x2."""
+    a1, a2, b1, b2 = x1[P], x2[P], x1[Q], x2[Q]
+    return (
+        (a1 == b1).astype(np.int8) + (a1 == b2) + (a2 == b1) + (a2 == b2)
+    )
 
 
 @dataclass
@@ -350,6 +317,13 @@ class CuboctahedronReport:
         return sum(self.breakdown.values())
 
 
+_COLLAPSED_LABELS = (
+    ("same-cell-twice", "two-cells-same-symbol"),
+    ("same-2x1-twice", "two-2x1-same-symbols"),
+    ("same-1x2-twice", "two-1x2-same-symbols"),
+)
+
+
 def cuboctahedron_report(obj) -> CuboctahedronReport:
     """Full cuboctahedron census with the degenerate classes labeled.
 
@@ -359,72 +333,29 @@ def cuboctahedron_report(obj) -> CuboctahedronReport:
     one cell), proper distinct-symbol pairs sharing a row or column, and
     a residual class for the remaining repeated-symbol coincidences.
     """
-    rows, cols, syms, n = _cells_of(obj)
-    out = {label: 0 for label in DEGENERACY_LABELS}
+    cells = _cells_of(obj)
+    n = cells[3]
+    out = dict.fromkeys(DEGENERACY_LABELS, 0)
+    for (sq, lin), (twice, pairs) in zip(_collapsed_shapes(*cells),
+                                         _COLLAPSED_LABELS):
+        out[twice] = lin
+        out[pairs] = sq - lin
 
-    sq, lin = _group_square_sum(syms)
-    out["same-cell-twice"] = lin
-    out["two-cells-same-symbol"] = sq - lin
+    q = _proper_quadruples(*cells)
+    sum_m, sum_m2, nondeg = _distinct_class_sums(q)
+    out["same-2x2-distinct-symbols"] = sum_m
+    out["row-or-column-sharing"] = sum_m2 - sum_m - nondeg
 
-    r1, r2, s1, s2, _c = _column_cell_pairs(rows, cols, syms, n)
-    sq, lin = _group_square_sum(s1 * n + s2)
-    out["same-2x1-twice"] = lin
-    out["two-2x1-same-symbols"] = sq - lin
-
-    c1, c2, s1, s2, _r = _row_cell_pairs(rows, cols, syms, n)
-    sq, lin = _group_square_sum(s1 * n + s2)
-    out["same-1x2-twice"] = lin
-    out["two-1x2-same-symbols"] = sq - lin
-
-    q = _proper_quadruples(obj)
-    a, b, c, d = q["a"], q["b"], q["c"], q["d"]
-    keys = _pattern_keys(q)
-    distinct = (a != d) & (b != c)
-    nondeg = 0
-
-    # distinct-symbol classes: diagonal, clean pairs, and row/column shares
-    dk = keys[distinct]
-    R1, R2 = q["r1"][distinct], q["r2"][distinct]
-    C1, C2 = q["c1"][distinct], q["c2"][distinct]
-    order, starts, ends = _class_slices(dk)
-    for s, e in zip(starts, ends):
-        idx = order[s:e]
-        m = e - s
-        good = (
-            _class_nondeg_pairs(R1[idx], R2[idx], C1[idx], C2[idx]) if m > 1 else 0
-        )
-        nondeg += good
-        out["same-2x2-distinct-symbols"] += m
-        out["row-or-column-sharing"] += m * m - m - good
-
-    # repeated-symbol classes: small, classified pair by pair
-    rep = ~distinct
-    rk = keys[rep]
-    R1, R2 = q["r1"][rep], q["r2"][rep]
-    C1, C2 = q["c1"][rep], q["c2"][rep]
-    order, starts, ends = _class_slices(rk)
-    for s, e in zip(starts, ends):
-        idx = order[s:e]
-        m = e - s
-        out["same-2x2-repeated-symbol"] += m
-        if m < 2:
-            continue
-        members = [
-            (int(R1[i]), int(R2[i]), int(C1[i]), int(C2[i])) for i in idx
-        ]
-        cellsets = [
-            {(t[0], t[2]), (t[0], t[3]), (t[1], t[2]), (t[1], t[3])}
-            for t in members
-        ]
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                shared = len(cellsets[i] & cellsets[j])
-                if shared == 1:
-                    out["opposite-face-overlap"] += 1
-                else:
-                    out["repeated-symbol-other"] += 1
+    # repeated-symbol classes: the cells of a quadruple are {r1, r2} x
+    # {c1, c2}, so a pair shares (shared rows) x (shared columns) cells
+    rep = ~_distinct_symbols(q)
+    P, Q = _pairs_within_groups(_pattern_keys(q)[rep])
+    R1, R2, C1, C2 = (q[k][rep] for k in ("r1", "r2", "c1", "c2"))
+    one_row = _overlap(R1, R2, P, Q) == 1
+    one_col = _overlap(C1, C2, P, Q) == 1
+    out["same-2x2-repeated-symbol"] = len(R1)
+    out["opposite-face-overlap"] = int((one_row & one_col).sum())
+    out["repeated-symbol-other"] = len(P) - len(R1) - out["opposite-face-overlap"]
 
     total = nondeg + sum(out.values())
     return CuboctahedronReport(n=n, total=total, nondegenerate=nondeg, breakdown=out)

@@ -125,27 +125,8 @@ class TriangleSet:
     def tri_id(self, v1: int, v2: int, v3: int) -> int:
         return int(self.id3[v1, v2, v3])
 
-    def tris_with_edge(self, kind: int, i: int, j: int) -> np.ndarray:
-        mask = int(self.apex_masks[kind][i, j])
-        ws = [w for w in range(self.n) if mask >> w & 1]
-        ids = [self.tri_id(*_canonical(kind, i, j, w)) for w in ws]
-        return np.asarray(ids, dtype=np.int64)
-
-    def tris_through(self, part: int, v: int) -> np.ndarray:
-        return np.flatnonzero(self.tris[:, part] == v)
-
     def subset(self, keep) -> "TriangleSet":
         return TriangleSet(self.host, self.tris[np.asarray(keep)])
-
-    def verify_indexes(self) -> None:
-        """Rebuild every index from the triangle list and compare."""
-        fresh = TriangleSet(self.host, self.tris)
-        assert np.array_equal(fresh.tris, self.tris)
-        assert np.array_equal(fresh.id3, self.id3)
-        for k in range(3):
-            assert np.array_equal(fresh.apex_masks[k], self.apex_masks[k])
-            assert np.array_equal(fresh.edge_counts[k], self.edge_counts[k])
-        assert np.array_equal(fresh.vertex_counts, self.vertex_counts)
 
     def _canonical_cycle_tuples(self):
         # ordered distinct pairs over [0, n-2]; skip-mapped per edge

@@ -46,13 +46,6 @@ class RandomStream:
         self._pos += 1
         return v % bound
 
-    def random(self) -> float:
-        if self._pos >= len(self._buf):
-            self._refill()
-        v = self._buf[self._pos]
-        self._pos += 1
-        return (v >> 9) * (2.0**-53)
-
     def shuffled(self, items):
         out = list(items)
         for i in range(len(out) - 1, 0, -1):

@@ -47,6 +47,16 @@ def test_count_json_format(capsys, xor_square):
         {"input": xor_square, "metric": "intercalates", "value": 12}]
 
 
+def test_every_count_verb_emits_json(capsys, xor_square):
+    for verb in ("intercalates", "cuboctahedra", "subsquares", "girth",
+                 "config"):
+        code, out, _ = run(capsys, "count", verb, "--format", "json",
+                           xor_square)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload and all(row["input"] == xor_square for row in payload)
+
+
 def test_count_cuboctahedra_partitions(capsys, xor_square):
     code, out, _ = run(capsys, "count", "cuboctahedra", xor_square)
     assert code == 0

@@ -18,6 +18,7 @@ from latinlab.counting import (
     girth,
     intercalate_configuration,
 )
+from latinlab.process import collision_filter, sample_sparse_system
 from latinlab.rng import RandomStream
 from latinlab.sampling import sample_square, sample_squares
 
@@ -59,16 +60,36 @@ def test_intercalates_on_rectangles_match_brute():
         assert count_intercalates(rect) == brute_intercalates(rect)
 
 
+def _assert_report_matches_brute(obj):
+    fast = cuboctahedron_report(obj)
+    slow = brute_report(obj)
+    assert fast.total == slow["total"]
+    assert fast.nondegenerate == slow["nondegenerate"]
+    for label in DEGENERACY_LABELS:
+        assert fast.breakdown[label] == slow[label], label
+    assert count_cuboctahedra_total(obj) == fast.total
+    assert count_cuboctahedra_nondegenerate(obj) == fast.nondegenerate
+    counts = [fast.total, fast.nondegenerate, *fast.breakdown.values(),
+              count_cuboctahedra_nondegenerate(obj)]
+    assert all(type(v) is int for v in counts)
+
+
 def test_report_matches_brute_per_class():
     rng = RandomStream(11)
     for n in (4, 5, 6):
         for sq in sample_squares(n, 2, rng):
-            fast = cuboctahedron_report(sq)
-            slow = brute_report(sq)
-            assert fast.total == slow["total"]
-            assert fast.nondegenerate == slow["nondegenerate"]
-            for label in DEGENERACY_LABELS:
-                assert fast.breakdown[label] == slow[label], label
+            _assert_report_matches_brute(sq)
+    # collision-filtered sparse systems, the shape counted by gstar
+    for n in (12, 16, 20, 24):
+        for _ in range(2):
+            ts = collision_filter(sample_sparse_system(n, 0.35, rng))
+            _assert_report_matches_brute(ts)
+    # no quadruples at all
+    _assert_report_matches_brute(TripleSystem(5, []))
+    # one 2x2 block of four symbols: every distinct-symbol class is a
+    # singleton and no repeated-symbol class exists
+    _assert_report_matches_brute(
+        TripleSystem(4, [(0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 3)]))
 
 
 def test_report_partitions_total():
@@ -87,6 +108,22 @@ def test_totals_match_brute_on_partial_systems():
     assert count_cuboctahedra_total(partial) == brute_total(partial)
     rep = cuboctahedron_report(partial)
     assert rep.nondegenerate == brute_cuboctahedra(partial)["nondegenerate"]
+    # random shuffled prefixes of squares
+    for trial in range(15):
+        n = 3 + trial % 5
+        full = to_triples(sample_square(n, rng))
+        m = rng.randrange(len(full.triples) + 1)
+        ts = TripleSystem(n, rng.shuffled(list(full.triples))[:m])
+        assert count_cuboctahedra_total(ts) == brute_total(ts)
+        _assert_report_matches_brute(ts)
+
+
+def test_counters_reject_out_of_range_triples():
+    ts = TripleSystem(3, [(0, 0, 5)])
+    for counter in (count_intercalates, count_cuboctahedra_total,
+                    count_cuboctahedra_nondegenerate, cuboctahedron_report):
+        with pytest.raises(ValueError, match="out of range"):
+            counter(ts)
 
 
 def test_subsquares_equal_brute():
