@@ -106,6 +106,8 @@ def _split_grids(text: str) -> list[str]:
         if not 1 <= len(header) <= 2:
             raise ValueError(f"bad grid header {lines[i]!r}")
         k = int(header[0])
+        if k < 1:
+            raise ValueError(f"bad grid header {lines[i]!r}")
         if i + 1 + k > len(lines):
             raise ValueError("truncated grid")
         chunks.append("\n".join(lines[i:i + 1 + k]) + "\n")

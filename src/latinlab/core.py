@@ -436,6 +436,8 @@ def parse_grid(text: str):
             raise ValueError
     except ValueError:
         raise ValueError(f"line {head_no}: bad header {head_ln!r}") from None
+    if n < 1:
+        raise ValueError(f"line {head_no}: order must be positive, got {n}")
     if len(lines) != 1 + k:
         raise ValueError(f"expected {k} rows, found {len(lines) - 1}")
     cells: list[list[int]] = []
@@ -491,6 +493,8 @@ def parse_triples(text: str) -> TripleSystem:
         n = int(head_ln)
     except ValueError:
         raise ValueError(f"line {head_no}: bad header {head_ln!r}") from None
+    if n < 1:
+        raise ValueError(f"line {head_no}: order must be positive, got {n}")
     triples = []
     for no, ln in lines[1:]:
         try:

@@ -8,15 +8,23 @@ required to be *safe*: placing it must not complete an intercalate with
 three triples already present, which keeps the girth of the partial
 system above 6 for the whole run.
 
-Both the available count and the safe count are maintained exactly and
-incrementally.  Availability loses one cell line, one row line and one
-column line per placement, so the update is three popcounts over line
-bitmasks.  Safety is tracked through a danger table: placing T creates a
-new near-intercalate for every pair (T, T') sharing a row or column
-whose two completing cells are half-filled, and a scan of the at most
-3(n - |row|) newly created patterns keeps the table current.  The count
-of dangerous-but-available triples then falls out of the same line scans
-that update availability.
+Safety is tracked through a danger table: placing T creates a new
+near-intercalate for every pair (T, T') sharing a row or column whose
+two completing cells are half-filled, and a scan of the at most
+3(n - |row|) newly created patterns keeps the table current.  Without
+the constraint the table stays empty and every available triple is safe.
+
+Two weight tables are kept exactly beside it: ``w[r][c]``, the number
+of safe available symbols of cell (r, c), and ``roww[r]``, the sum of
+row r of ``w``.  A placement removes its own cell, the (r, c2, s) for
+the free columns c2 and the (r2, c, s) for the free rows r2, so
+``place`` updates the tables and the available and dangerous counts
+from those three line scans; a new danger entry on an available triple
+costs its cell one.  A step draws one k uniform in [0, safe count) and
+maps it to a triple: the row by walking ``roww``, the cell by walking
+``w[r]``, the symbol by walking the cell's free symbols that have no
+danger entry.  The map is a bijection onto the safe set, so each step
+is exactly uniform at O(n) cost.
 
 The expected trajectory of the safe count is
 
@@ -50,8 +58,6 @@ from .rng import RandomStream
 class ProcessConfig:
     girth: int = 0              # 0 (unconstrained) or 6
     max_steps: int | None = None
-    rejection_tries: int = 200  # uniform-candidate draws before list fallback
-    list_threshold: int = 5000  # build the explicit candidate list below this
 
 
 @dataclass
@@ -96,9 +102,11 @@ def _bits(mask: int):
 
 
 class ProcessState:
-    """Mutable fill state with exact availability and danger bookkeeping."""
+    """Mutable fill state with exact availability, danger and weights."""
 
     def __init__(self, n: int, girth: int = 0):
+        if n < 1:
+            raise ValueError("order must be positive")
         if girth not in (0, 6):
             raise ValueError("girth constraint must be 0 or 6")
         self.n = n
@@ -113,6 +121,8 @@ class ProcessState:
         self.col_rows = [0] * n
         self.sym_cols = [0] * n    # columns containing symbol s
         self.sym_rows = [0] * n
+        self.w = [[n] * n for _ in range(n)]   # [r][c] -> safe symbols
+        self.roww = [n * n] * n                # sum of w[r]
         self.available = n**3
         self.dangerous_available = 0
         self.danger: dict[int, int] = {}
@@ -138,26 +148,31 @@ class ProcessState:
     def place(self, r: int, c: int, s: int) -> None:
         if not self.is_available(r, c, s):
             raise ValueError(f"triple ({r},{c},{s}) is not available")
-        n, full = self.n, self.full
+        n, full, danger = self.n, self.full, self.danger
+        w, roww = self.w, self.roww
         free_syms = ~(self.row_syms[r] | self.col_syms[c]) & full
-        free_cols = ~(self.row_cols[r] | self.sym_cols[s]) & full
-        free_rows = ~(self.col_rows[c] | self.sym_rows[s]) & full
+        free_cols = ~(self.row_cols[r] | self.sym_cols[s] | 1 << c) & full
+        free_rows = ~(self.col_rows[c] | self.sym_rows[s] | 1 << r) & full
         self.available -= (
-            free_syms.bit_count() + free_cols.bit_count() + free_rows.bit_count() - 2
+            free_syms.bit_count() + free_cols.bit_count() + free_rows.bit_count()
         )
-        if self.girth:
-            danger = self.danger
-            drop = 0
-            for s2 in _bits(free_syms):
-                if danger.get((r * n + c) * n + s2, 0):
-                    drop += 1
-            for c2 in _bits(free_cols):
-                if c2 != c and danger.get((r * n + c2) * n + s, 0):
-                    drop += 1
-            for r2 in _bits(free_rows):
-                if r2 != r and danger.get((r2 * n + c) * n + s, 0):
-                    drop += 1
-            self.dangerous_available -= drop
+        # the cell's own triples: w[r][c] of them are safe, the rest dangerous
+        drop = free_syms.bit_count() - w[r][c]
+        roww[r] -= w[r][c]
+        w[r][c] = 0
+        for c2 in _bits(free_cols):
+            if danger.get((r * n + c2) * n + s, 0):
+                drop += 1
+            else:
+                w[r][c2] -= 1
+                roww[r] -= 1
+        for r2 in _bits(free_rows):
+            if danger.get((r2 * n + c) * n + s, 0):
+                drop += 1
+            else:
+                w[r2][c] -= 1
+                roww[r2] -= 1
+        self.dangerous_available -= drop
 
         self.cell[r][c] = s
         self.col_of[r][s] = c
@@ -195,19 +210,34 @@ class ProcessState:
         self.danger[key] = prev + 1
         if prev == 0 and self.is_available(r, c, s):
             self.dangerous_available += 1
+            self.w[r][c] -= 1
+            self.roww[r] -= 1
 
     # -- candidate selection ------------------------------------------------
 
+    def triple_at(self, k: int) -> tuple[int, int, int]:
+        """The k-th safe available triple, 0 <= k < safe_count, in the
+        (row, column, symbol) order of ``safe_candidates``."""
+        r, k = _locate(self.roww, k)
+        c, k = _locate(self.w[r], k)
+        key = (r * self.n + c) * self.n
+        for s in _bits(~(self.row_syms[r] | self.col_syms[c]) & self.full):
+            if not self.danger.get(key + s, 0):
+                if k == 0:
+                    return r, c, s
+                k -= 1
+        raise AssertionError(f"cell ({r},{c}) has fewer safe symbols than w")
+
     def safe_candidates(self) -> list[tuple[int, int, int]]:
-        n, full = self.n, self.full
-        need_safe = bool(self.girth)
-        out = []
-        for r in range(n):
-            for c in _bits(~self.row_cols[r] & full):
-                for s in _bits(~(self.row_syms[r] | self.col_syms[c]) & full):
-                    if not need_safe or self.is_safe(r, c, s):
-                        out.append((r, c, s))
-        return out
+        """Every safe available triple, enumerated directly."""
+        full = self.full
+        return [
+            (r, c, s)
+            for r in range(self.n)
+            for c in _bits(~self.row_cols[r] & full)
+            for s in _bits(~(self.row_syms[r] | self.col_syms[c]) & full)
+            if self.is_safe(r, c, s)
+        ]
 
     def to_triples(self) -> TripleSystem:
         return TripleSystem(
@@ -220,31 +250,14 @@ class ProcessState:
             ),
         )
 
-    # -- slow recount for tests ---------------------------------------------
 
-    def brute_counts(self) -> tuple[int, int]:
-        """(available, dangerous-and-available) by direct scan."""
-        n = self.n
-        avail = 0
-        dang = 0
-        for r in range(n):
-            for c in range(n):
-                for s in range(n):
-                    if not self.is_available(r, c, s):
-                        continue
-                    avail += 1
-                    if self._completes_intercalate(r, c, s):
-                        dang += 1
-        return avail, dang
-
-    def _completes_intercalate(self, r: int, c: int, s: int) -> bool:
-        both = self.row_syms[r] & self.col_syms[c]
-        for s2 in _bits(both):
-            c2 = self.col_of[r][s2]
-            r2 = self.row_of[c][s2]
-            if self.cell[r2][c2] == s:
-                return True
-        return False
+def _locate(weights: list[int], k: int) -> tuple[int, int]:
+    """The index i holding unit k of the weights, and k's offset within it."""
+    for i, wt in enumerate(weights):
+        if k < wt:
+            return i, k
+        k -= wt
+    raise IndexError("k is not below the total weight")
 
 
 def run_process(
@@ -266,24 +279,9 @@ def run_process(
             break
         trace.append(safe)
         avail_trace.append(state.available)
-        placed = False
-        if safe >= cfg.list_threshold:
-            for _ in range(cfg.rejection_tries):
-                r = randrange(n)
-                c = randrange(n)
-                s = randrange(n)
-                if state.is_available(r, c, s) and (
-                    not cfg.girth or state.is_safe(r, c, s)
-                ):
-                    state.place(r, c, s)
-                    order.append((r, c, s))
-                    placed = True
-                    break
-        if not placed:
-            cands = state.safe_candidates()
-            r, c, s = cands[randrange(len(cands))]
-            state.place(r, c, s)
-            order.append((r, c, s))
+        triple = state.triple_at(randrange(safe))
+        state.place(*triple)
+        order.append(triple)
     return ProcessResult(
         n=n,
         girth=cfg.girth,
@@ -309,8 +307,10 @@ def sample_sparse_system(n: int, alpha: float, rng: RandomStream) -> TripleSyste
     p = alpha / n
     if not 0 <= p <= 1:
         raise ValueError(f"alpha/n = {p} is not a probability")
-    draws = rng.generator.random(n**3)
-    idx = np.flatnonzero(draws < p)
+    gen = rng.generator
+    # the Bernoulli product measure, drawn exactly: a binomial size, then
+    # that many distinct triples uniformly
+    idx = gen.choice(n**3, size=gen.binomial(n**3, p), replace=False)
     r, rem = np.divmod(idx, n * n)
     c, s = np.divmod(rem, n)
     return TripleSystem(n, zip(r.tolist(), c.tolist(), s.tolist()))

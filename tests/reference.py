@@ -3,7 +3,8 @@
 Everything here is written for transparency, not speed: quadruples are
 materialized explicitly and pairs are compared with dense boolean
 matrices, so results are easy to audit and serve as oracles for the
-fast per-class counters in the package.
+fast per-class counters in the package and for the incremental
+bookkeeping of the removal process.
 """
 
 from __future__ import annotations
@@ -254,3 +255,47 @@ def brute_embeddings(parts, edges, host) -> int:
                 ):
                     count += 1
     return count
+
+
+def _triple_safety(state):
+    """Per (r, c, s) of a removal-process state, read off its grid alone:
+    None if unavailable, else whether it is safe, i.e. the girth
+    constraint is off or placing it closes no intercalate with three
+    present triples."""
+    n, cell = state.n, state.cell
+    col_of = [{s: c for c, s in enumerate(cell[r]) if s >= 0} for r in range(n)]
+    row_of = [{cell[r][c]: r for r in range(n) if cell[r][c] >= 0}
+              for c in range(n)]
+    safety = {}
+    for r in range(n):
+        for c in range(n):
+            for s in range(n):
+                if cell[r][c] >= 0 or s in col_of[r] or s in row_of[c]:
+                    safety[r, c, s] = None
+                elif state.girth:
+                    safety[r, c, s] = not _completes_intercalate(
+                        cell, col_of, row_of, r, c, s)
+                else:
+                    safety[r, c, s] = True
+    return safety
+
+
+def _completes_intercalate(cell, col_of, row_of, r, c, s) -> bool:
+    """Some s2 sits at (r, c2) and (r2, c) with s already at (r2, c2)."""
+    return any(s2 in row_of[c] and cell[row_of[c][s2]][c2] == s
+               for s2, c2 in col_of[r].items())
+
+
+def brute_counts(state) -> tuple[int, int]:
+    """(available, dangerous-and-available) by direct scan."""
+    safety = _triple_safety(state).values()
+    return (sum(v is not None for v in safety),
+            sum(v is False for v in safety))
+
+
+def brute_cell_weights(state) -> list[list[int]]:
+    """Safe available symbols per cell, as the n x n table ``w``."""
+    w = [[0] * state.n for _ in range(state.n)]
+    for (r, c, _), safe in _triple_safety(state).items():
+        w[r][c] += safe is True
+    return w

@@ -124,6 +124,21 @@ def test_process_run_trajectory_and_final(capsys, tmp_path):
     assert count_intercalates(placed) == 0
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_process_run_rejects_nonpositive_order(capsys, n):
+    code, _, err = run(capsys, "process", "run", "--n", n)
+    assert code == 2
+    assert "order must be positive" in err
+
+
+def test_count_rejects_negative_order_file(capsys, tmp_path):
+    path = tmp_path / "neg.txt"
+    path.write_text("-2\n")
+    code, _, err = run(capsys, "count", "intercalates", str(path))
+    assert code == 2
+    assert "line 1: order must be positive" in err
+
+
 def test_phi_json_and_witness(capsys, tmp_path):
     report_path = tmp_path / "phi.json"
     code, _, _ = run(capsys, "phi", "--N", "2", "--out", str(report_path))

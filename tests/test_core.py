@@ -141,6 +141,15 @@ def test_grid_parse_reports_line_numbers():
         pytest.fail("short row accepted")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("-2\n", 1), ("0\n", 1), ("\n-2\n0 0 0\n", 2)])
+def test_nonpositive_order_rejected_with_line_number(text, line):
+    for parse in (parse_triples, parse_grid):
+        with pytest.raises(ValueError,
+                           match=f"line {line}: order must be positive"):
+            parse(text)
+
+
 def test_duplicate_triple_rejected():
     with pytest.raises(ValueError):
         parse_triples("2\n0 0 0\n0 0 0\n")

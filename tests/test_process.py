@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latinlab.core import TripleSystem, validate
 from latinlab.counting import count_intercalates, girth
 from latinlab.process import (
     ProcessConfig,
+    ProcessState,
     collision_filter,
     log_density_target,
     predicted_available,
@@ -17,7 +20,7 @@ from latinlab.process import (
 )
 from latinlab.rng import RandomStream
 
-from reference import brute_intercalates
+from reference import brute_cell_weights, brute_counts, brute_intercalates
 
 
 def test_run_records_are_consistent():
@@ -68,6 +71,41 @@ def test_safe_trace_equals_available_when_unconstrained():
     assert (res.trace == res.available_trace).all()
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([0, 6]), st.integers(0, 2**32 - 1))
+def test_incremental_counts_and_weights_match_brute_at_every_step(n, g, seed):
+    state = ProcessState(n, g)
+    rng = RandomStream(seed)
+    while True:
+        w = brute_cell_weights(state)
+        assert (state.available, state.dangerous_available) == brute_counts(state)
+        assert state.w == w
+        assert state.roww == [sum(row) for row in w]
+        assert sum(state.roww) == state.safe_count
+        if state.safe_count == 0:
+            break
+        state.place(*state.triple_at(rng.randrange(state.safe_count)))
+
+
+@pytest.mark.parametrize("g", [0, 6])
+def test_draw_maps_k_onto_each_safe_triple_exactly_once(g):
+    # k uniform on range(safe_count) then gives an exactly uniform triple
+    for n in range(1, 8):
+        for seed in range(3):
+            state = ProcessState(n, g)
+            rng = RandomStream(seed)
+            while state.safe_count:
+                drawn = [state.triple_at(k) for k in range(state.safe_count)]
+                assert drawn == state.safe_candidates()
+                state.place(*drawn[rng.randrange(len(drawn))])
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_state_rejects_nonpositive_order(n):
+    with pytest.raises(ValueError, match="order must be positive"):
+        ProcessState(n)
+
+
 def test_predicted_available_at_zero_is_n_cubed():
     assert predicted_available(50, 0) == 50**3
     assert predicted_available(50, 0, girth=0) == 50**3
@@ -93,6 +131,24 @@ def test_sparse_system_density():
              for _ in range(5)]
     expect = alpha * n**2  # n^3 triples kept with probability alpha/n
     assert 0.5 * expect < np.mean(sizes) < 1.5 * expect
+
+
+def test_sparse_system_is_the_bernoulli_product_measure():
+    n, alpha, trials = 4, 1.0, 4000
+    p = alpha / n
+    rng = RandomStream(14)
+    hits = np.zeros((n, n, n))
+    sizes = []
+    for _ in range(trials):
+        ts = sample_sparse_system(n, alpha, rng)
+        sizes.append(len(ts))
+        for t in ts.triples:
+            hits[t] += 1
+    # binomial(64, 1/4): mean 16, variance 12; the tolerances are about
+    # five standard errors of each estimate over 4000 trials
+    assert np.mean(sizes) == pytest.approx(n**3 * p, abs=0.3)
+    assert np.var(sizes, ddof=1) == pytest.approx(n**3 * p * (1 - p), abs=1.5)
+    assert np.abs(hits / trials - p).max() < 0.035
 
 
 def test_collision_filter_output_is_partial_latin():
