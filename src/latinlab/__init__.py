@@ -9,6 +9,7 @@ absorber constructions on tripartite graphs.
 __version__ = "0.1.0"
 
 from .core import (
+    InputError,
     LatinRectangle,
     LatinSquare,
     TripartiteGraph,
@@ -31,6 +32,7 @@ from .sampling import SamplerConfig, enumerate_squares, sample_rectangle, sample
 from .process import ProcessConfig, run_process
 
 __all__ = [
+    "InputError",
     "LatinRectangle",
     "LatinSquare",
     "TripartiteGraph",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TripartiteGraph, TripleSystem
+from .core import InputError, TripartiteGraph, TripleSystem
 from .counting import girth
 from .rng import RandomStream
 
@@ -108,7 +108,7 @@ def decompose_into_tripartite_cycles(g: TripartiteGraph) -> list[list[Vertex]]:
     open path.
     """
     if not is_triangle_divisible(g):
-        raise ValueError("graph is not triangle-divisible")
+        raise InputError("graph is not triangle-divisible")
     out_nbrs: dict[Vertex, list[Vertex]] = {}
     for kind, adj in enumerate((g.adj12, g.adj23, g.adj31)):
         for i, j in zip(*np.nonzero(adj)):
@@ -180,7 +180,7 @@ class PathCover:
         if mu is None:
             mu = 12 * total * total
         if mu < 1 or mu % 2:
-            raise ValueError("multiplicity must be a positive even number")
+            raise InputError("multiplicity must be a positive even number")
         self.x_sizes = (m1, m2, m3)
         self.mu = mu
         sizes = [m1, m2, m3]
@@ -333,7 +333,7 @@ def cover_with_short_cycles(l_graph: TripartiteGraph,
         target = graph_edges(cover.graph)
         for kind, i, j in graph_edges(l_graph):
             if (kind, i, j) in target:
-                raise ValueError("L overlaps the path cover")
+                raise InputError("L overlaps the path cover")
             target.add((kind, i, j))
         return ShortCycleCover(short, m, verify_cycle_partition(target, short))
     raise RegistryExhausted(str(last_err))
@@ -396,7 +396,7 @@ def sphere_blocks(a: Vertex, b1: Vertex, b2: Vertex, g: int, alloc):
     sphere alone), and the in-decomposition (2g triangles covering
     sphere plus triple).  The triple itself is in neither."""
     if g < 2:
-        raise ValueError("need g >= 2")
+        raise InputError("need g >= 2")
     b = [None, b1, b2]
     for j in range(3, 2 * g + 1):
         b.append(alloc(b2[0] if j % 2 == 0 else b1[0]))
@@ -530,9 +530,9 @@ def gadget_search(h: str, aux_budget: int = 3,
     """
     lengths = {"C3": 3, "C6": 6, "C9": 9}
     if h not in lengths:
-        raise ValueError("H must be one of C3, C6, C9")
+        raise InputError("H must be one of C3, C6, C9")
     if aux_budget > 12:
-        raise ValueError("auxiliary budget capped at 12")
+        raise InputError("auxiliary budget capped at 12")
     roots, h_edges = _cycle_roots(lengths[h])
     nroots = lengths[h] // 3
     h_edge_set = set(h_edges)
@@ -658,11 +658,11 @@ def absorber_demo(g: int = 6,
     edges ever introduced and that the girth exceeds g.
     """
     if not 2 <= g <= 10:
-        raise ValueError("demo supports 2 <= g <= 10")
+        raise InputError("demo supports 2 <= g <= 10")
     if gadget is None:
         gadget = reference_c3_gadget()
     if gadget.h_name != "C3":
-        raise ValueError("demo absorbs through a C3 gadget")
+        raise InputError("demo absorbs through a C3 gadget")
     x_edges = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
     cases = []
     for mask in range(8):

@@ -27,7 +27,9 @@ A file whose grid and triple readings both make sense (order 3 with
 exactly 3 rows) is read as a grid.
 
 Exit status: 0 when the verb succeeded and every reported check passed,
-1 when a report or experiment row failed, 2 on usage or input errors.
+1 when a report or experiment row failed or on an internal error
+(``internal error: ...`` after the traceback), 2 on usage or input errors
+(``InputError``: bad files, parameters or experiment names).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import io
 import json
 import os
 import sys
+import traceback
 
 from .absorb import (
     absorber_demo,
@@ -50,6 +53,7 @@ from .absorb import (
     sphere_graphs,
 )
 from .core import (
+    InputError,
     LatinSquare,
     parse_grid,
     parse_tripartite,
@@ -76,10 +80,6 @@ from .rng import RandomStream
 from .sampling import SamplerConfig, sample_rectangle, sample_squares
 
 
-class InputError(Exception):
-    """Bad file content or bad parameter combination; exits with 2."""
-
-
 def _read(path: str) -> str:
     try:
         with open(path) as fh:
@@ -103,17 +103,15 @@ def _split_grids(text: str) -> list[str]:
     i = 0
     while i < len(lines):
         header = lines[i].split()
-        if not 1 <= len(header) <= 2:
-            raise ValueError(f"bad grid header {lines[i]!r}")
-        k = int(header[0])
-        if k < 1:
-            raise ValueError(f"bad grid header {lines[i]!r}")
+        k = int(header[0]) if header[0].isdecimal() else 0
+        if not 1 <= len(header) <= 2 or k < 1:
+            raise InputError(f"bad grid header {lines[i]!r}")
         if i + 1 + k > len(lines):
-            raise ValueError("truncated grid")
+            raise InputError("truncated grid")
         chunks.append("\n".join(lines[i:i + 1 + k]) + "\n")
         i += 1 + k
     if not chunks:
-        raise ValueError("empty input")
+        raise InputError("empty input")
     return chunks
 
 
@@ -123,15 +121,15 @@ def _load_objects(path: str) -> list[tuple[str, object]]:
     text = _read(path)
     try:
         return [(path, parse_grid(text))]
-    except ValueError as grid_err:
+    except InputError as grid_err:
         first_err = grid_err
     try:
         return [(path, parse_triples(text))]
-    except ValueError:
+    except InputError:
         pass
     try:
         objs = [parse_grid(chunk) for chunk in _split_grids(text)]
-    except ValueError:
+    except InputError:
         raise InputError(f"{path}: {first_err}") from first_err
     return [(f"{path}#{i}", obj) for i, obj in enumerate(objs)]
 
@@ -578,9 +576,10 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

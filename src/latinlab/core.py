@@ -29,6 +29,14 @@ def _as_grid(values, n: int) -> np.ndarray:
     return g
 
 
+class InputError(ValueError):
+    """A caller-supplied value, parameter or file content is rejected.
+
+    The command line exits with 2 on it; any other exception is a fault
+    of the program and exits with 1.
+    """
+
+
 @dataclass(frozen=True)
 class ValidityReport:
     ok: bool
@@ -107,7 +115,7 @@ class TripleSystem:
     the system is Latin, so ``validate`` is the place that reports clashes.
     """
 
-    __slots__ = ("n", "triples", "_by_rc", "_by_rs", "_by_cs")
+    __slots__ = ("n", "triples", "_by_rc", "_by_rs", "_by_cs", "_array")
 
     def __init__(self, n: int, triples: Iterable[tuple[int, int, int]]):
         ts = tuple(sorted({(int(r), int(c), int(s)) for r, c, s in triples}))
@@ -116,6 +124,7 @@ class TripleSystem:
         object.__setattr__(self, "_by_rc", None)
         object.__setattr__(self, "_by_rs", None)
         object.__setattr__(self, "_by_cs", None)
+        object.__setattr__(self, "_array", None)
 
     def __setattr__(self, *a):
         raise AttributeError("TripleSystem is immutable")
@@ -163,6 +172,16 @@ class TripleSystem:
         if self._by_cs is None:
             self._build()
         return self._by_cs
+
+    @property
+    def array(self) -> np.ndarray:
+        """The triples as a read-only m x 3 int64 array, built on first
+        use; coordinates beyond int64 raise OverflowError."""
+        if self._array is None:
+            arr = np.array(self.triples, dtype=np.int64).reshape(-1, 3)
+            arr.flags.writeable = False
+            object.__setattr__(self, "_array", arr)
+        return self._array
 
     def cell_grid(self) -> np.ndarray:
         """n x n int matrix of symbols, -1 on empty cells."""
@@ -293,22 +312,46 @@ def _first_duplicate(vec) -> int:
 
 
 def _validate_triples(ts: TripleSystem) -> ValidityReport:
-    n = ts.n
-    seen_rc, seen_rs, seen_cs = set(), set(), set()
-    for r, c, s in ts.triples:
-        if not (0 <= r < n and 0 <= c < n and 0 <= s < n):
-            return ValidityReport(False, f"coordinate out of range in {(r, c, s)}",
-                                  (r, c, s))
-        if (r, c) in seen_rc:
-            return ValidityReport(False, f"cell ({r},{c}) holds two symbols", (r, c))
-        if (r, s) in seen_rs:
-            return ValidityReport(False, f"row {r} repeats symbol {s}", (r, s))
-        if (c, s) in seen_cs:
-            return ValidityReport(False, f"column {c} repeats symbol {s}", (c, s))
-        seen_rc.add((r, c))
-        seen_rs.add((r, s))
-        seen_cs.add((c, s))
-    return ValidityReport(True)
+    """The first triple, in sorted order, that is out of range or repeats
+    the cell, row symbol or column symbol of an earlier triple; checked
+    in that order."""
+    n, triples = ts.n, ts.triples
+    try:
+        arr = ts.array
+    except OverflowError:
+        # past int64 is out of range anyway; clamping keeps it so
+        arr = np.array([[min(max(x, -1), n) for x in t] for t in triples],
+                       dtype=np.int64)
+    rows, cols, syms = arr.T
+    # Keys of out-of-range triples may collide with in-range ones, but
+    # such a triple is itself a violation and comes before any triple
+    # it could wrongly flag.
+    flags = np.stack(((arr < 0).any(axis=1) | (arr >= n).any(axis=1),
+                      _repeats(rows * n + cols), _repeats(rows * n + syms),
+                      _repeats(cols * n + syms)))
+    hit = flags.any(axis=0)
+    if not hit.any():
+        return ValidityReport(True)
+    i = int(np.argmax(hit))
+    r, c, s = triples[i]
+    kind = int(np.argmax(flags[:, i]))
+    if kind == 0:
+        return ValidityReport(False, f"coordinate out of range in {(r, c, s)}",
+                              (r, c, s))
+    if kind == 1:
+        return ValidityReport(False, f"cell ({r},{c}) holds two symbols", (r, c))
+    if kind == 2:
+        return ValidityReport(False, f"row {r} repeats symbol {s}", (r, s))
+    return ValidityReport(False, f"column {c} repeats symbol {s}", (c, s))
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose key appears at an earlier index."""
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    out = np.zeros(len(keys), dtype=bool)
+    out[order[1:][sk[1:] == sk[:-1]]] = True
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +364,17 @@ def group_table(kind: str, order_param: int) -> LatinSquare:
     if kind == "cyclic":
         n = int(order_param)
         if n < 1:
-            raise ValueError("cyclic order must be >= 1")
+            raise InputError("cyclic order must be >= 1")
         r = np.arange(n)
         return LatinSquare((r[:, None] + r[None, :]) % n)
     if kind == "elementary-abelian-2":
         k = int(order_param)
         if k < 0:
-            raise ValueError("exponent must be >= 0")
+            raise InputError("exponent must be >= 0")
         n = 1 << k
         r = np.arange(n)
         return LatinSquare(r[:, None] ^ r[None, :])
-    raise ValueError(f"unknown group kind {kind!r}")
+    raise InputError(f"unknown group kind {kind!r}")
 
 
 def to_triples(obj) -> TripleSystem:
@@ -424,7 +467,7 @@ def parse_grid(text: str):
     numbered = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
     lines = [(i, ln) for i, ln in numbered if ln]
     if not lines:
-        raise ValueError("empty input")
+        raise InputError("empty input")
     head_no, head_ln = lines[0]
     head = head_ln.split()
     try:
@@ -435,18 +478,20 @@ def parse_grid(text: str):
         else:
             raise ValueError
     except ValueError:
-        raise ValueError(f"line {head_no}: bad header {head_ln!r}") from None
+        raise InputError(f"line {head_no}: bad header {head_ln!r}") from None
     if n < 1:
-        raise ValueError(f"line {head_no}: order must be positive, got {n}")
+        raise InputError(f"line {head_no}: order must be positive, got {n}")
+    if not 1 <= k <= n:
+        raise InputError(f"line {head_no}: need 1 <= k <= n, got {k} x {n}")
     if len(lines) != 1 + k:
-        raise ValueError(f"expected {k} rows, found {len(lines) - 1}")
+        raise InputError(f"expected {k} rows, found {len(lines) - 1}")
     cells: list[list[int]] = []
     holes = False
     for no, ln in lines[1:]:
         row = []
         toks = ln.split()
         if len(toks) != n:
-            raise ValueError(
+            raise InputError(
                 f"line {no}: expected {n} entries per row, got {len(toks)}")
         for t in toks:
             if t == ".":
@@ -454,13 +499,16 @@ def parse_grid(text: str):
                 holes = True
             else:
                 try:
-                    row.append(int(t))
+                    v = int(t)
                 except ValueError:
-                    raise ValueError(f"line {no}: bad cell {t!r}") from None
+                    raise InputError(f"line {no}: bad cell {t!r}") from None
+                if not 0 <= v < n:
+                    raise InputError(f"line {no}: symbol {v} out of range")
+                row.append(v)
         cells.append(row)
     if holes:
         if len(head) != 1:
-            raise ValueError("partial grids must be square (header 'n')")
+            raise InputError("partial grids must be square (header 'n')")
         ts = TripleSystem(
             n,
             ((r, c, cells[r][c]) for r in range(n) for c in range(n)
@@ -468,12 +516,12 @@ def parse_grid(text: str):
         )
         rep = validate(ts)
         if not rep:
-            raise ValueError(rep.message)
+            raise InputError(rep.message)
         return ts
     obj = LatinSquare(cells) if len(head) == 1 else LatinRectangle(cells)
     rep = validate(obj)
     if not rep:
-        raise ValueError(rep.message)
+        raise InputError(rep.message)
     return obj
 
 
@@ -487,27 +535,27 @@ def parse_triples(text: str) -> TripleSystem:
     numbered = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
     lines = [(i, ln) for i, ln in numbered if ln]
     if not lines:
-        raise ValueError("empty input")
+        raise InputError("empty input")
     head_no, head_ln = lines[0]
     try:
         n = int(head_ln)
     except ValueError:
-        raise ValueError(f"line {head_no}: bad header {head_ln!r}") from None
+        raise InputError(f"line {head_no}: bad header {head_ln!r}") from None
     if n < 1:
-        raise ValueError(f"line {head_no}: order must be positive, got {n}")
+        raise InputError(f"line {head_no}: order must be positive, got {n}")
     triples = []
     for no, ln in lines[1:]:
         try:
             r, c, s = (int(t) for t in ln.split())
         except ValueError:
-            raise ValueError(f"line {no}: bad triple {ln!r}") from None
+            raise InputError(f"line {no}: bad triple {ln!r}") from None
         triples.append((r, c, s))
     ts = TripleSystem(n, triples)
     if len(ts.triples) != len(triples):
-        raise ValueError("duplicate triple in input")
+        raise InputError("duplicate triple in input")
     rep = validate(ts)
     if not rep:
-        raise ValueError(rep.message)
+        raise InputError(rep.message)
     return ts
 
 
@@ -526,10 +574,13 @@ def serialize_tripartite(g: TripartiteGraph) -> str:
 
 
 def parse_tripartite(text: str) -> TripartiteGraph:
-    data = json.loads(text)
-    return TripartiteGraph(
-        data["parts"],
-        edges_12=data.get("edges_12", ()),
-        edges_23=data.get("edges_23", ()),
-        edges_31=data.get("edges_31", ()),
-    )
+    try:
+        data = json.loads(text)
+        return TripartiteGraph(
+            data["parts"],
+            edges_12=data.get("edges_12", ()),
+            edges_23=data.get("edges_23", ()),
+            edges_31=data.get("edges_31", ()),
+        )
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise InputError(f"bad tripartite graph: {exc!r}") from exc

@@ -9,13 +9,29 @@ A cuboctahedron is an ordered pair of quadruples (r1, r2, c1, c2) and
 (r1', r2', c1', c2') whose 2 x 2 symbol patterns agree position by
 position; degenerate coincidences (equal rows, equal columns, repeated
 symbols, shared cells) are allowed.  The total count is sum of class^2
-over quadruples grouped by pattern; group tables hit exactly n^5 by the
-quadrangle condition.  Nondegenerate copies (four distinct rows, columns
-and symbols) are the same-pattern pairs that share no row or column.  In
-a distinct-symbol class the Latin property makes each of r1, r2, c1, c2
-determine the member, so every row or column coincidence pins a unique
-partner, found for all classes at once by sorted lookups of (class,
-coordinate); no loop runs over the classes.
+over quadruples grouped by shape and pattern; group tables hit exactly
+n^5 by the quadrangle condition.  Nondegenerate copies (four distinct
+rows, columns and symbols) are the same-pattern pairs that share no row
+or column.
+
+The proper quadruples (r1 != r2, c1 != c2) are enumerated once per
+filled 2 x 2 submatrix, with r1 < r2 and c1 < c2: the cell pairs that
+share a column, then the pairs of those on a common row pair.  Each
+submatrix stands for four ordered quadruples, one per row order and
+column order.  When its four symbols are distinct, these four have four
+different patterns, so every ordered class is one of four equal-size
+images of a canonical class, whose members are turned so that the
+smallest symbol sits at (r1, c1); sum m, sum m^2 and the nondegenerate
+pair count over the ordered classes are exactly 4 times their canonical
+values.  In a canonical class the Latin property makes each of r1, r2,
+c1, c2 determine the member, so every row or column coincidence pins a
+unique partner, found for all classes at once by sorted lookups of
+(class, coordinate); no loop runs over the classes.  A pattern with a
+repeated symbol can be fixed by a swap (an intercalate is fixed by
+swapping both rows and columns), so those submatrices are expanded into
+their four ordered quadruples and grouped as they are.  The collapsed
+1 x 1, 2 x 1 and 1 x 2 shapes are keyed by their symbols, the cell pairs
+on a line taken in both orders.
 
 Girth here is the triple-system girth: the smallest g > 3 such that some
 g vertices of the tripartite vertex set span g - 2 triples.  Girth
@@ -28,7 +44,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LatinRectangle, LatinSquare, TripleSystem, to_triples, validate
+from .core import (
+    InputError,
+    LatinRectangle,
+    LatinSquare,
+    TripleSystem,
+    to_triples,
+    validate,
+)
 
 DEGENERACY_LABELS = (
     "same-2x2-distinct-symbols",
@@ -105,7 +128,7 @@ def _intercalates_triples(ts: TripleSystem) -> int:
 def _require_latin(ts: TripleSystem) -> None:
     report = validate(ts)
     if not report:
-        raise ValueError(report.message)
+        raise InputError(report.message)
 
 
 def _cells_of(obj) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -120,70 +143,87 @@ def _cells_of(obj) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         )
     if isinstance(obj, TripleSystem):
         _require_latin(obj)
-        arr = np.array(obj.triples, dtype=np.int64).reshape(-1, 3)
-        return arr[:, 0], arr[:, 1], arr[:, 2], obj.n
+        return (*obj.array.T, obj.n)
     raise TypeError(f"no cell view for {type(obj).__name__}")
 
 
-def _pairs_within_groups(keys: np.ndarray):
-    """All ordered index pairs (P, Q) of records that share a key.
+def _pairs_in_groups(keys: np.ndarray, span: int = 1):
+    """Index pairs (P, Q) of the records in a common group, each
+    unordered pair once.
 
-    The diagonal P == Q is included.
+    A record's group is ``keys // span``.  With distinct keys the pairs
+    come out ordered, keys[P] < keys[Q].
     """
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    boundaries = np.flatnonzero(np.diff(sk)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(sk)]))
-    sizes = ends - starts
-    sq = sizes * sizes
-    total = int(sq.sum())
-    gout = np.repeat(np.arange(len(sizes)), sq)
-    base = np.repeat(np.concatenate(([0], np.cumsum(sq)[:-1])), sq)
-    rank = np.arange(total) - base
-    i = rank // sizes[gout]
-    j = rank % sizes[gout]
-    P = order[starts[gout] + i]
-    Q = order[starts[gout] + j]
-    return P, Q
+    order = np.argsort(keys)
+    groups = keys[order] // span
+    m = len(groups)
+    starts = np.flatnonzero(np.concatenate(([True], groups[1:] != groups[:-1])))
+    sizes = np.diff(np.append(starts, m))
+    # sorted position k pairs with the rest of its group after it
+    later = np.repeat(starts + sizes, sizes) - np.arange(m) - 1
+    i = np.repeat(np.arange(m), later)
+    first = np.repeat(np.cumsum(later) - later, later)
+    j = i + 1 + np.arange(len(i)) - first
+    return order[i], order[j]
 
 
-def _line_pairs(line: np.ndarray, other: np.ndarray):
-    """Ordered index pairs (P, Q) with line[P] == line[Q], other[P] != other[Q]."""
-    P, Q = _pairs_within_groups(line)
-    keep = other[P] != other[Q]
-    return P[keep], Q[keep]
+# rows of a quadruple record array: rows r1, r2, columns c1, c2 and the
+# symbol pattern (a, b, c, d) = cells (r1, c1), (r1, c2), (r2, c1), (r2, c2)
+_R1, _R2, _C1, _C2, _A, _B, _C, _D = range(8)
+_ROW_SWAP = [_R2, _R1, _C1, _C2, _C, _D, _A, _B]
+_COL_SWAP = [_R1, _R2, _C2, _C1, _B, _A, _D, _C]
 
 
-def _proper_quadruples(rows, cols, syms, n):
-    """Ordered quadruples (r1, r2, c1, c2), r1 != r2, c1 != c2, all four
-    cells filled, with their patterns (a, b, c, d)."""
-    # cells (r1, c) and (r2, c) sharing a column ...
-    P, Q = _line_pairs(cols, rows)
-    r1, r2, s1, s2, col = rows[P], rows[Q], syms[P], syms[Q], cols[P]
-    # ... paired with a second such record on the same ordered row pair
-    P, Q = _line_pairs(r1 * n + r2, col)
-    return {
-        "r1": r1[P],
-        "r2": r2[P],
-        "c1": col[P],
-        "c2": col[Q],
-        "a": s1[P],
-        "b": s1[Q],
-        "c": s2[P],
-        "d": s2[Q],
-        "n": n,
-    }
+def _column_pairs(cells):
+    """Cell index pairs (P, Q) sharing a column, rows[P] < rows[Q]."""
+    rows, cols, _, n = cells
+    return _pairs_in_groups(cols * n + rows, n)
 
 
-def _pattern_keys(q) -> np.ndarray:
-    n = q["n"]
-    return ((q["a"] * n + q["b"]) * n + q["c"]) * n + q["d"]
+def _proper_quadruples(cells, col_pairs) -> np.ndarray:
+    """Every 2 x 2 submatrix with four filled cells, once, as an 8-row
+    record array with r1 < r2 and c1 < c2; ``col_pairs`` comes from
+    ``_column_pairs(cells)``."""
+    rows, cols, syms, n = cells
+    top, bottom = col_pairs
+    # two column pairs on one row pair, the left one first
+    P, Q = _pairs_in_groups((rows[top] * n + rows[bottom]) * n + cols[top], n)
+    a, b, c, d = top[P], top[Q], bottom[P], bottom[Q]
+    return np.stack((rows[a], rows[c], cols[a], cols[b],
+                     syms[a], syms[b], syms[c], syms[d]))
 
 
-def _distinct_symbols(q) -> np.ndarray:
+def _pattern_keys(q: np.ndarray, n: int) -> np.ndarray:
+    return ((q[_A] * n + q[_B]) * n + q[_C]) * n + q[_D]
+
+
+def _distinct_symbols(q: np.ndarray) -> np.ndarray:
     # a != b, a != c, b != d and c != d already hold by the Latin property
-    return (q["a"] != q["d"]) & (q["b"] != q["c"])
+    return (q[_A] != q[_D]) & (q[_B] != q[_C])
+
+
+def _canonical_keys(q: np.ndarray, n: int) -> np.ndarray:
+    """Pattern keys of distinct-symbol records in canonical orientation,
+    the one with the smallest symbol at a.  Symbol a leads the key, so
+    that is the least of the four orientation keys."""
+    a, b, c, d = q[_A:]
+    ab, cd, ba, dc = a * n + b, c * n + d, b * n + a, d * n + c
+    n2 = n * n
+    return np.minimum(np.minimum(ab * n2 + cd, cd * n2 + ab),
+                      np.minimum(ba * n2 + dc, dc * n2 + ba))
+
+
+def _canonical(q: np.ndarray) -> np.ndarray:
+    """Distinct-symbol records turned to canonical orientation."""
+    q = np.where(np.minimum(q[_C], q[_D]) < np.minimum(q[_A], q[_B]),
+                 q[_ROW_SWAP], q)
+    return np.where(q[_B] < q[_A], q[_COL_SWAP], q)
+
+
+def _orientations(q: np.ndarray) -> np.ndarray:
+    """The ordered records of q: each in its four row and column orders."""
+    rows = q[_ROW_SWAP]
+    return np.concatenate((q, rows, q[_COL_SWAP], rows[_COL_SWAP]), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +244,7 @@ def _total_dense(sq: LatinSquare) -> int:
     # generic path.
     n = sq.n
     if n > 64:
-        raise ValueError("dense cuboctahedron totals are desk-capped at n <= 64")
+        raise InputError("dense cuboctahedron totals are desk-capped at n <= 64")
     g = sq.grid.astype(np.uint32)
     a = g[:, None, :, None]
     b = g[:, None, None, :]
@@ -224,25 +264,32 @@ def _group_square_sum(keys: np.ndarray) -> tuple[int, int]:
     return int((counts**2).sum()), int(counts.sum())
 
 
-def _collapsed_shapes(rows, cols, syms, n) -> list[tuple[int, int]]:
+def _collapsed_shapes(cells, col_pairs) -> list[tuple[int, int]]:
     """_group_square_sum of the 1x1, 2x1 and 1x2 quadruple shapes.
 
     (r, r, c, c) is keyed by its symbol, (r1, r2, c, c) and (r, r, c1, c2)
-    by their symbol pairs.
+    by their ordered symbol pairs, each unordered cell pair giving both.
     """
-    P, Q = _line_pairs(cols, rows)
-    P2, Q2 = _line_pairs(rows, cols)
-    return [
-        _group_square_sum(syms),
-        _group_square_sum(syms[P] * n + syms[Q]),
-        _group_square_sum(syms[P2] * n + syms[Q2]),
-    ]
+    rows, _, syms, n = cells
+
+    def both_ways(P, Q):
+        x, y = syms[P], syms[Q]
+        return _group_square_sum(np.concatenate((x * n + y, y * n + x)))
+
+    return [_group_square_sum(syms), both_ways(*col_pairs),
+            both_ways(*_pairs_in_groups(rows))]
 
 
 def _total_generic(obj) -> int:
     cells = _cells_of(obj)
-    proper, _ = _group_square_sum(_pattern_keys(_proper_quadruples(*cells)))
-    return proper + sum(sq for sq, _ in _collapsed_shapes(*cells))
+    n = cells[3]
+    col_pairs = _column_pairs(cells)
+    q = _proper_quadruples(cells, col_pairs)
+    distinct = _distinct_symbols(q)
+    canon, _ = _group_square_sum(_canonical_keys(q[:, distinct], n))
+    rep, _ = _group_square_sum(_pattern_keys(_orientations(q[:, ~distinct]), n))
+    return (4 * canon + rep
+            + sum(sq for sq, _ in _collapsed_shapes(cells, col_pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,38 +311,42 @@ def _partners(cls, src, dst, n):
     return i, order[pos[i]]
 
 
-def _distinct_class_sums(q) -> tuple[int, int, int]:
-    """(sum m, sum m^2, nondegenerate pairs) over the distinct-symbol
-    pattern classes, m being the size of a class.
+def _distinct_class_sums(q: np.ndarray, n: int) -> tuple[int, int, int]:
+    """(sum m, sum m^2, nondegenerate pairs) over the ordered
+    distinct-symbol pattern classes, m being the size of a class, from
+    the distinct-symbol records q, one per submatrix.
 
-    In such a class each of r1, r2, c1, c2 determines the member, so a
-    pair of distinct members shares a row exactly when r1' = r2 (event
-    E1) or r2' = r1 (E2), and a column exactly when c1' = c2 (F1) or
-    c2' = c1 (F2).  E2 and F2 are the transposes of E1 and F1, and the
-    pairs sharing a row or column are the union of the four.
+    Each ordered class is one of four equal images of a canonical class,
+    so every sum is four times its canonical value.  In a canonical
+    class each of r1, r2, c1, c2 determines the member, so a pair of
+    distinct members shares a row exactly when r1' = r2 (event E1) or
+    r2' = r1 (E2), and a column exactly when c1' = c2 (F1) or c2' = c1
+    (F2).  E2 and F2 are the transposes of E1 and F1, and the pairs
+    sharing a row or column are the union of the four.
     """
-    distinct = _distinct_symbols(q)
     _, cls, sizes = np.unique(
-        _pattern_keys(q)[distinct], return_inverse=True, return_counts=True
+        _canonical_keys(q, n), return_inverse=True, return_counts=True
     )
     sum_m = int(sizes.sum())
     sum_m2 = int((sizes.astype(np.int64) ** 2).sum())
     # singleton classes have no pair besides the diagonal
     multi = sizes[cls] > 1
     cls = cls[multi]
-    R1, R2, C1, C2 = (q[k][distinct][multi] for k in ("r1", "r2", "c1", "c2"))
-    n, m = q["n"], len(cls)
+    R1, R2, C1, C2 = _canonical(q[:, multi])[:4]
+    m = len(cls)
     e_i, e_j = _partners(cls, R1, R2, n)
     f_i, f_j = _partners(cls, C1, C2, n)
     sharing = np.unique(np.concatenate(
         (e_i * m + e_j, e_j * m + e_i, f_i * m + f_j, f_j * m + f_i)
     ))
-    return sum_m, sum_m2, sum_m2 - sum_m - len(sharing)
+    return 4 * sum_m, 4 * sum_m2, 4 * (sum_m2 - sum_m - len(sharing))
 
 
 def count_cuboctahedra_nondegenerate(obj) -> int:
     """Same-pattern quadruple pairs with 4 distinct rows, columns, symbols."""
-    return _distinct_class_sums(_proper_quadruples(*_cells_of(obj)))[2]
+    cells = _cells_of(obj)
+    q = _proper_quadruples(cells, _column_pairs(cells))
+    return _distinct_class_sums(q[:, _distinct_symbols(q)], cells[3])[2]
 
 
 def _overlap(x1, x2, P, Q) -> np.ndarray:
@@ -335,27 +386,29 @@ def cuboctahedron_report(obj) -> CuboctahedronReport:
     """
     cells = _cells_of(obj)
     n = cells[3]
+    col_pairs = _column_pairs(cells)
     out = dict.fromkeys(DEGENERACY_LABELS, 0)
-    for (sq, lin), (twice, pairs) in zip(_collapsed_shapes(*cells),
+    for (sq, lin), (twice, pairs) in zip(_collapsed_shapes(cells, col_pairs),
                                          _COLLAPSED_LABELS):
         out[twice] = lin
         out[pairs] = sq - lin
 
-    q = _proper_quadruples(*cells)
-    sum_m, sum_m2, nondeg = _distinct_class_sums(q)
+    q = _proper_quadruples(cells, col_pairs)
+    distinct = _distinct_symbols(q)
+    sum_m, sum_m2, nondeg = _distinct_class_sums(q[:, distinct], n)
     out["same-2x2-distinct-symbols"] = sum_m
     out["row-or-column-sharing"] = sum_m2 - sum_m - nondeg
 
     # repeated-symbol classes: the cells of a quadruple are {r1, r2} x
-    # {c1, c2}, so a pair shares (shared rows) x (shared columns) cells
-    rep = ~_distinct_symbols(q)
-    P, Q = _pairs_within_groups(_pattern_keys(q)[rep])
-    R1, R2, C1, C2 = (q[k][rep] for k in ("r1", "r2", "c1", "c2"))
-    one_row = _overlap(R1, R2, P, Q) == 1
-    one_col = _overlap(C1, C2, P, Q) == 1
-    out["same-2x2-repeated-symbol"] = len(R1)
-    out["opposite-face-overlap"] = int((one_row & one_col).sum())
-    out["repeated-symbol-other"] = len(P) - len(R1) - out["opposite-face-overlap"]
+    # {c1, c2}, so a pair shares (shared rows) x (shared columns) cells;
+    # each unordered pair (P, Q) stands for both of its orders
+    rep = _orientations(q[:, ~distinct])
+    P, Q = _pairs_in_groups(_pattern_keys(rep, n))
+    R1, R2, C1, C2 = rep[:4]
+    one_cell = (_overlap(R1, R2, P, Q) == 1) & (_overlap(C1, C2, P, Q) == 1)
+    out["same-2x2-repeated-symbol"] = rep.shape[1]
+    out["opposite-face-overlap"] = 2 * int(one_cell.sum())
+    out["repeated-symbol-other"] = 2 * len(P) - out["opposite-face-overlap"]
 
     total = nondeg + sum(out.values())
     return CuboctahedronReport(n=n, total=total, nondegenerate=nondeg, breakdown=out)
@@ -375,9 +428,9 @@ def count_subsquares(square: LatinSquare, k: int) -> int:
     """
     n = square.n
     if not 2 <= k <= 4:
-        raise ValueError("supported subsquare orders are 2, 3, 4")
+        raise InputError("supported subsquare orders are 2, 3, 4")
     if n > 40:
-        raise ValueError("subsquare counting is desk-capped at n <= 40")
+        raise InputError("subsquare counting is desk-capped at n <= 40")
     if k == 2:
         return count_intercalates(square)
     g = square.grid.astype(np.intp)
@@ -446,7 +499,7 @@ def girth(obj, g_max: int = 12) -> int | None:
     if not isinstance(obj, TripleSystem):
         raise TypeError(f"girth undefined for {type(obj).__name__}")
     if g_max > 12:
-        raise ValueError("girth search is desk-capped at g_max <= 12")
+        raise InputError("girth search is desk-capped at g_max <= 12")
     n = obj.n
     tris = [(r, n + c, 2 * n + s) for r, c, s in obj.triples]
     incident: dict[int, list[int]] = {}
@@ -505,9 +558,9 @@ class ColoredTripleSystem:
         for e in self.edges:
             i, j, k = e
             if not (0 <= i < h1 and 0 <= j < h2 and 0 <= k < h3):
-                raise ValueError(f"edge {e} escapes parts {self.parts}")
+                raise InputError(f"edge {e} escapes parts {self.parts}")
         if len(set(self.edges)) != len(self.edges):
-            raise ValueError("repeated edge")
+            raise InputError("repeated edge")
 
     def order(self) -> int:
         return sum(self.parts)
@@ -545,7 +598,7 @@ def count_configuration(config: ColoredTripleSystem, host) -> int:
     if not isinstance(host, TripleSystem):
         raise TypeError(f"cannot embed into {type(host).__name__}")
     if config.order() > 14 or len(config.edges) > 10:
-        raise ValueError("configuration too large (desk cap: 14 vertices, 10 edges)")
+        raise InputError("configuration too large (desk cap: 14 vertices, 10 edges)")
     n = host.n
     triples = host.triples
     by_r: dict[int, list] = {}

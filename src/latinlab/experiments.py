@@ -29,6 +29,7 @@ from .absorb import (
     sphere_cover,
     sphere_certificates_ok,
 )
+from .core import InputError
 from .counting import (
     count_cuboctahedra_nondegenerate,
     count_cuboctahedra_total,
@@ -106,7 +107,7 @@ _DEFAULTS: dict[str, dict] = {
 def make_spec(experiment: str, **overrides) -> ExperimentSpec:
     """Spec with per-experiment defaults; None overrides are ignored."""
     if experiment not in _DEFAULTS:
-        raise ValueError(f"unknown experiment {experiment!r}")
+        raise InputError(f"unknown experiment {experiment!r}")
     params = dict(_DEFAULTS[experiment])
     params.update({k: v for k, v in overrides.items() if v is not None})
     return ExperimentSpec(experiment=experiment, **params)
@@ -405,7 +406,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     summary."""
     fn = EXPERIMENTS.get(spec.experiment)
     if fn is None:
-        raise ValueError(f"unknown experiment {spec.experiment!r}")
+        raise InputError(f"unknown experiment {spec.experiment!r}")
     os.makedirs(spec.out_dir, exist_ok=True)
     header, rows, checks, extra = fn(spec)
 

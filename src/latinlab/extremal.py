@@ -28,7 +28,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import LatinSquare, TripleSystem, group_table, to_triples, validate
+from .core import (
+    InputError,
+    LatinSquare,
+    TripleSystem,
+    group_table,
+    to_triples,
+    validate,
+)
 from .counting import count_intercalates
 
 ORACLE_CELL_CAP = 8
@@ -55,7 +62,7 @@ def _new_intercalates(cells: list[tuple[int, int, int]],
 def max_intercalates_oracle(m: int) -> tuple[int, TripleSystem]:
     """Exact I*(m) with a maximizing configuration, m <= 8."""
     if not 0 <= m <= ORACLE_CELL_CAP:
-        raise ValueError(f"oracle supports 0 <= m <= {ORACLE_CELL_CAP}")
+        raise InputError(f"oracle supports 0 <= m <= {ORACLE_CELL_CAP}")
     if m < 4:
         # an intercalate needs 4 cells; any clash-free placement works
         return 0, TripleSystem(max(m, 1), ((i, i, i) for i in range(m)))
@@ -112,7 +119,7 @@ def max_intercalates_oracle(m: int) -> tuple[int, TripleSystem]:
 def phi_exact(N: int, max_cells: int = ORACLE_CELL_CAP) -> int | None:
     """min{m : I*(m) >= N} when it is within the oracle range."""
     if N < 1:
-        raise ValueError("need N >= 1")
+        raise InputError("need N >= 1")
     for m in range(1, min(max_cells, ORACLE_CELL_CAP) + 1):
         if max_intercalates_oracle(m)[0] >= N:
             return m
@@ -135,7 +142,7 @@ def _icbrt(x: int) -> int:
 def phi_lower_bound(N: int) -> int:
     """floor((4N)^(1/3))^2 cells are needed for N intercalates."""
     if N < 1:
-        raise ValueError("need N >= 1")
+        raise InputError("need N >= 1")
     return _icbrt(4 * N) ** 2
 
 
@@ -146,7 +153,7 @@ def _xor_block_intercalates(k: int) -> int:
 def phi_upper_bound(N: int) -> tuple[int, TripleSystem]:
     """Cell count and witness from XOR tables, >= N intercalates."""
     if N < 1:
-        raise ValueError("need N >= 1")
+        raise InputError("need N >= 1")
     k = 1
     while 8**k <= 4 * N + N**0.75:
         k += 1

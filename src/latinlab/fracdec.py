@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TripartiteGraph
+from .core import InputError, TripartiteGraph
 from .rng import RandomStream
 
 MASK_CAP = 64
@@ -497,7 +497,7 @@ class RegParams:
 
     def __post_init__(self):
         if not (0.0 < self.p <= 1.0 and 0.0 < self.q <= 1.0):
-            raise ValueError("need p, q in (0, 1]")
+            raise InputError("need p, q in (0, 1]")
         if self.xi is None:
             self.xi = self.C ** -8.0
 
@@ -662,7 +662,7 @@ def boost(tset: TriangleSet, params: RegParams, rng: RandomStream,
         rep = params.report or check_conditions(tset, params, rng)
         params.report = rep
         if not rep.ok:
-            raise ValueError(
+            raise InputError(
                 "conditions fail "
                 f"(violations {rep.violation_counts}); pass force=True "
                 "to boost anyway")

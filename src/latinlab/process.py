@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TripleSystem
+from .core import InputError, TripleSystem
 from .rng import RandomStream
 
 
@@ -106,9 +106,9 @@ class ProcessState:
 
     def __init__(self, n: int, girth: int = 0):
         if n < 1:
-            raise ValueError("order must be positive")
+            raise InputError("order must be positive")
         if girth not in (0, 6):
-            raise ValueError("girth constraint must be 0 or 6")
+            raise InputError("girth constraint must be 0 or 6")
         self.n = n
         self.girth = girth
         self.full = (1 << n) - 1
@@ -306,7 +306,7 @@ def sample_sparse_system(n: int, alpha: float, rng: RandomStream) -> TripleSyste
     """
     p = alpha / n
     if not 0 <= p <= 1:
-        raise ValueError(f"alpha/n = {p} is not a probability")
+        raise InputError(f"alpha/n = {p} is not a probability")
     gen = rng.generator
     # the Bernoulli product measure, drawn exactly: a binomial size, then
     # that many distinct triples uniformly

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LatinRectangle, LatinSquare, group_table
+from .core import InputError, LatinRectangle, LatinSquare, group_table
 from .rng import RandomStream
 
 
@@ -56,7 +56,7 @@ class IncidenceCube:
     def __init__(self, square: LatinSquare):
         n = square.n
         if n < 2:
-            raise ValueError("chain needs n >= 2")
+            raise InputError("chain needs n >= 2")
         self.n = n
         g = square.grid
         self.S = [[int(g[r, c]) for c in range(n)] for r in range(n)]
@@ -161,7 +161,7 @@ def sample_squares(
 def enumerate_squares(n: int) -> list[LatinSquare]:
     """Every order-n Latin square, n <= 5 (576 at n = 4, 161280 at n = 5)."""
     if not 1 <= n <= 5:
-        raise ValueError("exhaustive enumeration is capped at n <= 5")
+        raise InputError("exhaustive enumeration is capped at n <= 5")
     grid = np.zeros((n, n), dtype=np.int64)
     row_used = [0] * n
     col_used = [0] * n
@@ -196,7 +196,7 @@ def sample_rectangle(
     """Uniform k x n Latin rectangle by rejection over row permutations."""
     cfg = config or SamplerConfig()
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k} n={n}")
+        raise InputError(f"need 1 <= k <= n, got k={k} n={n}")
     gen = rng.generator
     for _ in range(cfg.rectangle_budget):
         rows = np.stack([gen.permutation(n) for _ in range(k)])

@@ -13,7 +13,13 @@ import itertools
 
 import numpy as np
 
-from latinlab.core import LatinRectangle, LatinSquare, TripleSystem, to_triples
+from latinlab.core import (
+    LatinRectangle,
+    LatinSquare,
+    TripleSystem,
+    ValidityReport,
+    to_triples,
+)
 from latinlab.counting import DEGENERACY_LABELS
 
 
@@ -21,6 +27,26 @@ def _filled_cells(obj):
     if isinstance(obj, (LatinSquare, LatinRectangle)):
         obj = to_triples(obj)
     return obj.n, list(obj.triples)
+
+
+def brute_validate(ts: TripleSystem) -> ValidityReport:
+    """First violation of a triple system, one triple at a time."""
+    n = ts.n
+    seen_rc, seen_rs, seen_cs = set(), set(), set()
+    for r, c, s in ts.triples:
+        if not (0 <= r < n and 0 <= c < n and 0 <= s < n):
+            return ValidityReport(False, f"coordinate out of range in {(r, c, s)}",
+                                  (r, c, s))
+        if (r, c) in seen_rc:
+            return ValidityReport(False, f"cell ({r},{c}) holds two symbols", (r, c))
+        if (r, s) in seen_rs:
+            return ValidityReport(False, f"row {r} repeats symbol {s}", (r, s))
+        if (c, s) in seen_cs:
+            return ValidityReport(False, f"column {c} repeats symbol {s}", (c, s))
+        seen_rc.add((r, c))
+        seen_rs.add((r, s))
+        seen_cs.add((c, s))
+    return ValidityReport(True)
 
 
 def brute_intercalates(obj) -> int:

@@ -256,3 +256,37 @@ def test_report_flags_failures_with_exit_one(capsys, tmp_path):
     code, out, _ = run(capsys, "report", str(tmp_path))
     assert code == 1
     assert out.startswith("FAIL")
+
+
+def test_internal_error_exits_one(capsys, monkeypatch, xor_square):
+    def broken(_):
+        raise ValueError("counter bug")
+
+    monkeypatch.setattr("latinlab.cli.count_intercalates", broken)
+    code, _, err = run(capsys, "count", "intercalates", xor_square)
+    assert code == 1
+    assert "internal error: ValueError('counter bug')" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3\n0 1 2\n1 2 0\n2 0 257\n", "line 4: symbol 257 out of range"),
+    ("3 2\n0 1\n1 0\n0 0\n", "line 1: need 1 <= k <= n, got 3 x 2"),
+    ("x\n", "bad header"),
+])
+def test_bad_grid_files_are_input_errors(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, _, err = run(capsys, "count", "intercalates", str(path))
+    assert code == 2
+    assert message in err
+
+
+def test_bad_parameters_are_input_errors(capsys, tmp_path):
+    for argv in (["sample", "square", "--n", "0"],
+                 ["process", "run", "--n", "5", "--g", "4"],
+                 ["phi", "--N", "0"],
+                 ["experiment", "gstar-cuboctahedra", "--alpha", "500",
+                  "--samples", "1", "--out", str(tmp_path)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:"), argv

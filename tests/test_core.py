@@ -27,6 +27,8 @@ from latinlab.core import (
 from latinlab.rng import RandomStream
 from latinlab.sampling import sample_square
 
+from reference import brute_validate
+
 
 def test_cyclic_table_is_latin():
     for n in range(1, 8):
@@ -207,3 +209,35 @@ def test_partial_systems_roundtrip_both_formats(n, data):
         assert to_triples(parsed).triples == ts.triples
     else:
         assert parsed.triples == ts.triples
+
+
+@st.composite
+def _planted_systems(draw):
+    """A square prefix with out-of-range, cell, row and column clashes
+    planted, several at once."""
+    n = draw(st.integers(1, 6))
+    full = to_triples(sample_square(n, RandomStream(draw(st.integers(0, 99)))))
+    triples = list(draw(st.permutations(full.triples))[
+        : draw(st.integers(1, n * n))])
+    for _ in range(draw(st.integers(0, 4))):
+        r, c, s = draw(st.sampled_from(triples))
+        kind = draw(st.sampled_from(["range", "cell", "row", "column"]))
+        other = draw(st.integers(0, n - 1))
+        if kind == "range":
+            bad = draw(st.sampled_from([-1, n, n + 2, 2**70, -(2**70)]))
+            at = draw(st.integers(0, 2))
+            triples.append(tuple(bad if i == at else v
+                                 for i, v in enumerate((r, c, s))))
+        elif kind == "cell":
+            triples.append((r, c, other))
+        elif kind == "row":
+            triples.append((r, other, s))
+        else:
+            triples.append((other, c, s))
+    return TripleSystem(n, triples)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planted_systems())
+def test_validate_reports_the_first_violation_like_the_loop(ts):
+    assert validate(ts) == brute_validate(ts)

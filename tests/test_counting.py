@@ -1,13 +1,24 @@
 """Fast counters against the brute-force oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latinlab.core import TripleSystem, group_table, restrict_rows, to_triples
+from latinlab.core import (
+    LatinSquare,
+    TripleSystem,
+    group_table,
+    restrict_rows,
+    to_triples,
+)
 from latinlab.counting import (
     DEGENERACY_LABELS,
+    _cells_of,
+    _column_pairs,
+    _proper_quadruples,
     count_configuration,
     count_cuboctahedra_nondegenerate,
     count_cuboctahedra_total,
@@ -116,6 +127,77 @@ def test_totals_match_brute_on_partial_systems():
         ts = TripleSystem(n, rng.shuffled(list(full.triples))[:m])
         assert count_cuboctahedra_total(ts) == brute_total(ts)
         _assert_report_matches_brute(ts)
+
+
+def _sample_inputs(seed):
+    """Squares, their triple systems, shuffled square prefixes and
+    collision-filtered sparse systems."""
+    rng = RandomStream(seed)
+    out = []
+    for n in (4, 6, 8):
+        sq = sample_square(n, rng)
+        full = to_triples(sq)
+        out += [sq, full, TripleSystem(
+            n, rng.shuffled(list(full.triples))[: rng.randrange(n * n)])]
+    out.append(group_table("cyclic", 5))
+    for n in (12, 20):
+        out.append(collision_filter(sample_sparse_system(n, 0.35, rng)))
+    return out
+
+
+def test_proper_quadruples_list_each_submatrix_once():
+    for obj in _sample_inputs(71):
+        cells = _cells_of(obj)
+        rows, cols, syms, n = cells
+        grid = dict(zip(zip(rows.tolist(), cols.tolist()), syms.tolist()))
+        want = []
+        for r1, r2 in itertools.combinations(range(n), 2):
+            for c1, c2 in itertools.combinations(range(n), 2):
+                quad = [(r1, c1), (r1, c2), (r2, c1), (r2, c2)]
+                if all(cell in grid for cell in quad):
+                    want.append((r1, r2, c1, c2, *(grid[x] for x in quad)))
+        got = _proper_quadruples(cells, _column_pairs(cells)).T.tolist()
+        assert sorted(map(tuple, got)) == want
+
+
+def _relabeled(obj, rng, transpose):
+    """obj with rows, columns and symbols permuted at random, and
+    optionally transposed, as the same type."""
+    n = obj.n
+    pr, pc, ps = (rng.shuffled(list(range(n))) for _ in range(3))
+    if isinstance(obj, LatinSquare):
+        grid = np.empty((n, n), dtype=np.int64)
+        grid[np.ix_(pr, pc)] = np.array(ps)[obj.grid]
+        return LatinSquare(grid.T if transpose else grid)
+    triples = [(pr[r], pc[c], ps[s]) for r, c, s in obj.triples]
+    if transpose:
+        triples = [(c, r, s) for r, c, s in triples]
+    return TripleSystem(n, triples)
+
+
+# a transpose turns 2x1 shapes into 1x2 shapes
+_TRANSPOSED = {"two-2x1-same-symbols": "two-1x2-same-symbols",
+               "same-2x1-twice": "same-1x2-twice"}
+_TRANSPOSED.update({v: k for k, v in _TRANSPOSED.items()})
+
+
+def _census(obj, transpose=False):
+    rep = cuboctahedron_report(obj)
+    breakdown = {_TRANSPOSED.get(k, k) if transpose else k: v
+                 for k, v in rep.breakdown.items()}
+    return (count_cuboctahedra_nondegenerate(obj),
+            count_cuboctahedra_total(obj), rep.total, rep.nondegenerate,
+            breakdown)
+
+
+def test_counts_invariant_under_relabeling_and_transpose():
+    # relabeling symbols moves the smallest symbol, which fixes the
+    # canonical orientation of a distinct-symbol submatrix
+    rng = RandomStream(73)
+    for obj in _sample_inputs(79):
+        base = _census(obj)
+        for transpose in (False, True, False):
+            assert _census(_relabeled(obj, rng, transpose), transpose) == base
 
 
 def test_counters_reject_out_of_range_triples():
