@@ -282,7 +282,10 @@ def test_bad_grid_files_are_input_errors(capsys, tmp_path, text, message):
 
 
 def test_bad_parameters_are_input_errors(capsys, tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text("{not json")
     for argv in (["sample", "square", "--n", "0"],
+                 ["boost", "--graph", str(graph), "--triangles", str(graph)],
                  ["process", "run", "--n", "5", "--g", "4"],
                  ["phi", "--N", "0"],
                  ["experiment", "gstar-cuboctahedra", "--alpha", "500",
