@@ -22,7 +22,12 @@ def _grid_dtype(n: int):
     return np.uint8 if n <= 256 else np.uint32
 
 
-def _as_grid(values, n: int) -> np.ndarray:
+def _as_grid(values: np.ndarray, n: int) -> np.ndarray:
+    """The read-only grid, after checking every symbol is in 0..n-1."""
+    if values.size and (values.min() < 0 or values.max() >= n):
+        i, j = np.argwhere((values < 0) | (values >= n))[0]
+        raise InputError(
+            f"symbol {values[i, j]} out of range at ({int(i)}, {int(j)})")
     g = np.asarray(values, dtype=_grid_dtype(n))
     g = np.ascontiguousarray(g)
     g.flags.writeable = False
@@ -108,29 +113,77 @@ class LatinRectangle:
 
 
 class TripleSystem:
-    """Partial Latin square as a sorted set of (row, column, symbol) triples.
+    """Partial Latin square as a sorted set of distinct (row, column,
+    symbol) triples.
+
+    The set has two views, each built from the other on first use and
+    then cached: ``triples``, a tuple of int tuples, and ``array``, a
+    read-only m x 3 int64 array with the rows in the same order.  The
+    constructor takes any iterable of triples, with Python ints of any
+    size; ``from_array`` takes an integer array and stays in numpy, so a
+    system built from an array holds no tuples until ``triples`` is read.
 
     Secondary indexes (cell -> symbol, row/symbol -> column,
     column/symbol -> row) are built on first use; they exist exactly when
     the system is Latin, so ``validate`` is the place that reports clashes.
     """
 
-    __slots__ = ("n", "triples", "_by_rc", "_by_rs", "_by_cs", "_array")
+    __slots__ = ("n", "_triples", "_array", "_by_rc", "_by_rs", "_by_cs")
 
     def __init__(self, n: int, triples: Iterable[tuple[int, int, int]]):
         ts = tuple(sorted({(int(r), int(c), int(s)) for r, c, s in triples}))
+        self._init(n, ts, None)
+
+    @classmethod
+    def from_array(cls, n: int, arr) -> "TripleSystem":
+        """The system of the rows of an m x 3 integer array, sorted and
+        with repeated rows dropped.  Out-of-range rows are kept, for
+        ``validate`` to report.  Rows already in strictly increasing
+        order skip the sort."""
+        a = np.asarray(arr)
+        if a.size == 0:
+            a = np.empty((0, 3), dtype=np.int64)
+        elif a.ndim != 2 or a.shape[1] != 3:
+            raise ValueError(f"m x 3 array required, got shape {a.shape}")
+        a = a.astype(np.int64, casting="safe")
+        if not _increasing(a):
+            a = a[np.lexsort(a.T[::-1])]
+            a = a[np.concatenate(([True], (a[1:] != a[:-1]).any(axis=1)))]
+        a.flags.writeable = False
+        ts = cls.__new__(cls)
+        ts._init(n, None, a)
+        return ts
+
+    def _init(self, n, triples, array):
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "triples", ts)
+        object.__setattr__(self, "_triples", triples)
+        object.__setattr__(self, "_array", array)
         object.__setattr__(self, "_by_rc", None)
         object.__setattr__(self, "_by_rs", None)
         object.__setattr__(self, "_by_cs", None)
-        object.__setattr__(self, "_array", None)
 
     def __setattr__(self, *a):
         raise AttributeError("TripleSystem is immutable")
 
+    @property
+    def triples(self) -> tuple[tuple[int, int, int], ...]:
+        if self._triples is None:
+            object.__setattr__(self, "_triples",
+                               tuple(map(tuple, self._array.tolist())))
+        return self._triples
+
+    @property
+    def array(self) -> np.ndarray:
+        """The triples as a read-only m x 3 int64 array; coordinates
+        beyond int64 raise OverflowError."""
+        if self._array is None:
+            arr = np.array(self._triples, dtype=np.int64).reshape(-1, 3)
+            arr.flags.writeable = False
+            object.__setattr__(self, "_array", arr)
+        return self._array
+
     def __len__(self):
-        return len(self.triples)
+        return len(self._triples if self._array is None else self._array)
 
     def __eq__(self, other):
         return (
@@ -143,7 +196,7 @@ class TripleSystem:
         return hash((self.n, self.triples))
 
     def __repr__(self):
-        return f"TripleSystem(n={self.n}, m={len(self.triples)})"
+        return f"TripleSystem(n={self.n}, m={len(self)})"
 
     def _build(self):
         by_rc, by_rs, by_cs = {}, {}, {}
@@ -173,22 +226,18 @@ class TripleSystem:
             self._build()
         return self._by_cs
 
-    @property
-    def array(self) -> np.ndarray:
-        """The triples as a read-only m x 3 int64 array, built on first
-        use; coordinates beyond int64 raise OverflowError."""
-        if self._array is None:
-            arr = np.array(self.triples, dtype=np.int64).reshape(-1, 3)
-            arr.flags.writeable = False
-            object.__setattr__(self, "_array", arr)
-        return self._array
-
     def cell_grid(self) -> np.ndarray:
         """n x n int matrix of symbols, -1 on empty cells."""
         g = np.full((self.n, self.n), -1, dtype=np.int32)
         for r, c, s in self.triples:
             g[r, c] = s
         return g
+
+
+def _increasing(a: np.ndarray) -> bool:
+    """Whether the rows strictly increase in lexicographic order."""
+    lt, eq = a[:-1] < a[1:], a[:-1] == a[1:]
+    return bool((lt[:, 0] | eq[:, 0] & (lt[:, 1] | eq[:, 1] & lt[:, 2])).all())
 
 
 class TripartiteGraph:
@@ -203,20 +252,9 @@ class TripartiteGraph:
     def __init__(self, parts: Sequence[int], edges_12=(), edges_23=(), edges_31=()):
         n1, n2, n3 = (int(x) for x in parts)
         object.__setattr__(self, "parts", (n1, n2, n3))
-        a12 = np.zeros((n1, n2), dtype=bool)
-        a23 = np.zeros((n2, n3), dtype=bool)
-        a31 = np.zeros((n3, n1), dtype=bool)
-        for u, v in edges_12:
-            a12[u, v] = True
-        for u, v in edges_23:
-            a23[u, v] = True
-        for u, v in edges_31:
-            a31[u, v] = True
-        for a in (a12, a23, a31):
-            a.flags.writeable = False
-        object.__setattr__(self, "adj12", a12)
-        object.__setattr__(self, "adj23", a23)
-        object.__setattr__(self, "adj31", a31)
+        object.__setattr__(self, "adj12", _adjacency(n1, n2, edges_12))
+        object.__setattr__(self, "adj23", _adjacency(n2, n3, edges_23))
+        object.__setattr__(self, "adj31", _adjacency(n3, n1, edges_31))
 
     @classmethod
     def from_adjacency(cls, adj12, adj23, adj31) -> "TripartiteGraph":
@@ -265,6 +303,23 @@ class TripartiteGraph:
         return f"TripartiteGraph(parts={self.parts}, edges={self.edge_count()})"
 
 
+def _adjacency(rows: int, cols: int, edges) -> np.ndarray:
+    a = np.zeros((rows, cols), dtype=bool)
+    pairs = np.array(list(edges))
+    if pairs.size:
+        if pairs.ndim < 2 or pairs.shape[1] != 2:
+            raise InputError(f"edges must be pairs, got shape {pairs.shape}")
+        u, v = pairs[:, 0], pairs[:, 1]
+        bad = (u < 0) | (u >= rows) | (v < 0) | (v >= cols)
+        if bad.any():
+            first = pairs[np.argwhere(bad)[0][0]].tolist()
+            raise InputError(
+                f"edge {first} outside parts of sizes {rows} and {cols}")
+        a[u, v] = True
+    a.flags.writeable = False
+    return a
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -283,12 +338,7 @@ def validate(obj) -> ValidityReport:
 
 
 def _validate_rect(grid: np.ndarray, k: int, n: int) -> ValidityReport:
-    if grid.size and int(grid.max(initial=0)) >= n:
-        where = np.argwhere(grid >= n)[0]
-        return ValidityReport(
-            False, f"symbol out of range at {tuple(int(x) for x in where)}",
-            tuple(int(x) for x in where),
-        )
+    # symbols are in range by construction, see _as_grid
     for i in range(k):
         row = grid[i]
         if len(np.unique(row)) != n:
@@ -315,12 +365,12 @@ def _validate_triples(ts: TripleSystem) -> ValidityReport:
     """The first triple, in sorted order, that is out of range or repeats
     the cell, row symbol or column symbol of an earlier triple; checked
     in that order."""
-    n, triples = ts.n, ts.triples
+    n = ts.n
     try:
         arr = ts.array
     except OverflowError:
         # past int64 is out of range anyway; clamping keeps it so
-        arr = np.array([[min(max(x, -1), n) for x in t] for t in triples],
+        arr = np.array([[min(max(x, -1), n) for x in t] for t in ts.triples],
                        dtype=np.int64)
     rows, cols, syms = arr.T
     # Keys of out-of-range triples may collide with in-range ones, but
@@ -333,7 +383,7 @@ def _validate_triples(ts: TripleSystem) -> ValidityReport:
     if not hit.any():
         return ValidityReport(True)
     i = int(np.argmax(hit))
-    r, c, s = triples[i]
+    r, c, s = ts.triples[i]
     kind = int(np.argmax(flags[:, i]))
     if kind == 0:
         return ValidityReport(False, f"coordinate out of range in {(r, c, s)}",
@@ -382,10 +432,8 @@ def to_triples(obj) -> TripleSystem:
         k = obj.grid.shape[0]
         n = obj.n
         rr, cc = np.meshgrid(np.arange(k), np.arange(n), indexing="ij")
-        return TripleSystem(
-            n, zip(rr.ravel().tolist(), cc.ravel().tolist(),
-                   obj.grid.ravel().tolist())
-        )
+        return TripleSystem.from_array(
+            n, np.stack((rr.ravel(), cc.ravel(), obj.grid.ravel()), axis=1))
     raise TypeError(f"cannot view {type(obj).__name__} as triples")
 
 
@@ -402,10 +450,10 @@ def from_triples(ts: TripleSystem):
     n = ts.n
     grid = ts.cell_grid()
     filled_rows = [i for i in range(n) if (grid[i] >= 0).all()]
-    if len(ts.triples) == n * n:
+    if len(ts) == n * n:
         return LatinSquare(grid)
     if filled_rows == list(range(len(filled_rows))) and \
-            len(ts.triples) == len(filled_rows) * n:
+            len(ts) == len(filled_rows) * n:
         return LatinRectangle(grid[: len(filled_rows)])
     raise ValueError("triples do not fill a leading block of rows")
 
@@ -551,7 +599,7 @@ def parse_triples(text: str) -> TripleSystem:
             raise InputError(f"line {no}: bad triple {ln!r}") from None
         triples.append((r, c, s))
     ts = TripleSystem(n, triples)
-    if len(ts.triples) != len(triples):
+    if len(ts) != len(triples):
         raise InputError("duplicate triple in input")
     rep = validate(ts)
     if not rep:

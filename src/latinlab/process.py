@@ -125,7 +125,7 @@ class ProcessState:
         self.roww = [n * n] * n                # sum of w[r]
         self.available = n**3
         self.dangerous_available = 0
-        self.danger: dict[int, int] = {}
+        self.danger: set[int] = set()   # triples made dangerous while available
         self.steps = 0
 
     # -- predicates ---------------------------------------------------------
@@ -137,7 +137,7 @@ class ProcessState:
         )
 
     def is_safe(self, r: int, c: int, s: int) -> bool:
-        return self.danger.get((r * self.n + c) * self.n + s, 0) == 0
+        return (r * self.n + c) * self.n + s not in self.danger
 
     @property
     def safe_count(self) -> int:
@@ -161,13 +161,13 @@ class ProcessState:
         roww[r] -= w[r][c]
         w[r][c] = 0
         for c2 in _bits(free_cols):
-            if danger.get((r * n + c2) * n + s, 0):
+            if (r * n + c2) * n + s in danger:
                 drop += 1
             else:
                 w[r][c2] -= 1
                 roww[r] -= 1
         for r2 in _bits(free_rows):
-            if danger.get((r2 * n + c) * n + s, 0):
+            if (r2 * n + c) * n + s in danger:
                 drop += 1
             else:
                 w[r2][c] -= 1
@@ -205,10 +205,13 @@ class ProcessState:
                     add(r, c3, s2)
 
     def _add_danger(self, r: int, c: int, s: int) -> None:
+        # availability only falls, so danger on an unavailable triple is
+        # never read
+        if not self.is_available(r, c, s):
+            return
         key = (r * self.n + c) * self.n + s
-        prev = self.danger.get(key, 0)
-        self.danger[key] = prev + 1
-        if prev == 0 and self.is_available(r, c, s):
+        if key not in self.danger:
+            self.danger.add(key)
             self.dangerous_available += 1
             self.w[r][c] -= 1
             self.roww[r] -= 1
@@ -222,7 +225,7 @@ class ProcessState:
         c, k = _locate(self.w[r], k)
         key = (r * self.n + c) * self.n
         for s in _bits(~(self.row_syms[r] | self.col_syms[c]) & self.full):
-            if not self.danger.get(key + s, 0):
+            if key + s not in self.danger:
                 if k == 0:
                     return r, c, s
                 k -= 1
@@ -238,17 +241,6 @@ class ProcessState:
             for s in _bits(~(self.row_syms[r] | self.col_syms[c]) & full)
             if self.is_safe(r, c, s)
         ]
-
-    def to_triples(self) -> TripleSystem:
-        return TripleSystem(
-            self.n,
-            (
-                (r, c, self.cell[r][c])
-                for r in range(self.n)
-                for c in range(self.n)
-                if self.cell[r][c] >= 0
-            ),
-        )
 
 
 def _locate(weights: list[int], k: int) -> tuple[int, int]:
@@ -282,13 +274,14 @@ def run_process(
         triple = state.triple_at(randrange(safe))
         state.place(*triple)
         order.append(triple)
+    made = np.array(order, dtype=np.int64).reshape(-1, 3)
     return ProcessResult(
         n=n,
         girth=cfg.girth,
         steps=state.steps,
         stalled=stalled,
-        placed=state.to_triples(),
-        order=np.array(order, dtype=np.int64).reshape(-1, 3),
+        placed=TripleSystem.from_array(n, made),
+        order=made,
         trace=np.array(trace, dtype=np.int64),
         available_trace=np.array(avail_trace, dtype=np.int64),
     )
@@ -309,23 +302,23 @@ def sample_sparse_system(n: int, alpha: float, rng: RandomStream) -> TripleSyste
         raise InputError(f"alpha/n = {p} is not a probability")
     gen = rng.generator
     # the Bernoulli product measure, drawn exactly: a binomial size, then
-    # that many distinct triples uniformly
-    idx = gen.choice(n**3, size=gen.binomial(n**3, p), replace=False)
+    # that many distinct triples uniformly; sorted indices decode to
+    # triples in sorted order
+    idx = np.sort(gen.choice(n**3, size=gen.binomial(n**3, p), replace=False))
     r, rem = np.divmod(idx, n * n)
     c, s = np.divmod(rem, n)
-    return TripleSystem(n, zip(r.tolist(), c.tolist(), s.tolist()))
+    return TripleSystem.from_array(n, np.stack((r, c, s), axis=1))
 
 
 def collision_filter(ts: TripleSystem) -> TripleSystem:
     """Delete, simultaneously, every triple that agrees with another in
     at least two coordinates.  The survivors form a partial Latin square."""
-    if len(ts.triples) == 0:
+    if len(ts) == 0:
         return ts
-    arr = np.array(ts.triples, dtype=np.int64)
-    n = ts.n
+    arr, n = ts.array, ts.n
     keep = np.ones(len(arr), dtype=bool)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         key = arr[:, i] * n + arr[:, j]
         _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
         keep &= counts[inverse] == 1
-    return TripleSystem(n, (tuple(t) for t in arr[keep].tolist()))
+    return TripleSystem.from_array(n, arr[keep])

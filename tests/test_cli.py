@@ -281,6 +281,15 @@ def test_bad_grid_files_are_input_errors(capsys, tmp_path, text, message):
     assert message in err
 
 
+def test_boost_graph_with_negative_vertex_is_input_error(capsys, tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text('{"parts": [2, 2, 2], "edges_12": [[-1, 0]]}')
+    code, _, err = run(capsys, "boost", "--graph", str(graph),
+                       "--triangles", str(graph))
+    assert code == 2
+    assert "outside parts" in err
+
+
 def test_bad_parameters_are_input_errors(capsys, tmp_path):
     graph = tmp_path / "graph.json"
     graph.write_text("{not json")

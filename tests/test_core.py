@@ -1,13 +1,17 @@
 """Structures, validation, and the text formats."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latinlab.core import (
+    InputError,
     LatinRectangle,
     LatinSquare,
+    TripartiteGraph,
     TripleSystem,
     from_triples,
     group_table,
@@ -60,6 +64,25 @@ def test_validate_catches_row_repeat():
     assert not rep
     assert "row" in rep.message
     assert rep.where is not None
+
+
+@pytest.mark.parametrize("bad", [257, -1])
+def test_grids_reject_symbols_out_of_range(bad):
+    # uint8 storage would wrap 257 to 1 and -1 to 255
+    with pytest.raises(InputError, match=f"symbol {bad} out of range"):
+        LatinSquare([[0, 1, 2], [1, 2, 0], [2, 0, bad]])
+    with pytest.raises(InputError, match=f"symbol {bad} out of range"):
+        LatinRectangle([[0, 1, 2], [1, bad, 0]])
+
+
+@pytest.mark.parametrize("edges", [
+    {"edges_12": [[-1, 0]]}, {"edges_23": [[0, 2]]}, {"edges_31": [[0, -2]]},
+])
+def test_tripartite_rejects_vertices_outside_their_part(edges):
+    with pytest.raises(InputError, match="outside parts"):
+        TripartiteGraph((2, 2, 2), **edges)
+    with pytest.raises(InputError):
+        parse_tripartite(json.dumps({"parts": [2, 2, 2], **edges}))
 
 
 def test_triples_roundtrip_group_table():
@@ -241,3 +264,29 @@ def _planted_systems(draw):
 @given(_planted_systems())
 def test_validate_reports_the_first_violation_like_the_loop(ts):
     assert validate(ts) == brute_validate(ts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_from_array_equals_the_tuple_constructor(n, data):
+    coord = st.integers(-2, n + 1)
+    rows = data.draw(st.lists(st.tuples(coord, coord, coord), max_size=3 * n))
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    dtype = data.draw(st.sampled_from([np.int64, np.int32, np.int8]))
+    arr = np.array(data.draw(st.permutations(rows)), dtype=dtype).reshape(-1, 3)
+    fast = TripleSystem.from_array(n, arr)
+    slow = TripleSystem(n, map(tuple, arr.tolist()))
+    assert len(fast) == len(slow)
+    assert fast.array.dtype == np.int64
+    assert np.array_equal(fast.array, slow.array)
+    assert fast.triples == slow.triples
+    assert fast == slow and slow == fast
+    assert hash(fast) == hash(slow)
+    assert validate(fast) == validate(slow)
+    assert not fast.array.flags.writeable
+    with pytest.raises(ValueError):
+        fast.array[..., 0] = 0
+    # sorted input, with and without repeated rows
+    for again in (fast.array, np.repeat(fast.array, 2, axis=0)):
+        assert np.array_equal(TripleSystem.from_array(n, again).array,
+                              slow.array)
