@@ -471,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--count", type=int, default=1)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--burnin", type=float,
-                          help="burn-in in units of n^3 moves")
+                          help="burn-in in units of n^2 proper visits "
+                          "(about n^3 moves)")
     p_sample.add_argument("--out")
     p_sample.set_defaults(fn=_cmd_sample)
 

@@ -305,10 +305,17 @@ class TripartiteGraph:
 
 def _adjacency(rows: int, cols: int, edges) -> np.ndarray:
     a = np.zeros((rows, cols), dtype=bool)
-    pairs = np.array(list(edges))
-    if pairs.size:
-        if pairs.ndim < 2 or pairs.shape[1] != 2:
-            raise InputError(f"edges must be pairs, got shape {pairs.shape}")
+    edges = list(edges)
+    if edges:
+        try:
+            pairs = np.array(edges)
+        except ValueError:  # ragged
+            pairs = None
+        # a tuple vertex would index a block of the matrix, not one entry
+        if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2 \
+                or not np.issubdtype(pairs.dtype, np.integer):
+            raise InputError(
+                f"edges must be pairs of integer vertices, got {edges!r:.60}")
         u, v = pairs[:, 0], pairs[:, 1]
         bad = (u < 0) | (u >= rows) | (v < 0) | (v >= cols)
         if bad.any():

@@ -46,7 +46,7 @@ from .process import (
     sample_sparse_system,
 )
 from .rng import substream
-from .sampling import sample_rectangle, sample_squares
+from .sampling import autocorrelation_time, sample_rectangle, sample_squares
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,7 @@ def _exp_intercalate_mean(spec: ExperimentSpec):
     extra = {
         "target": target,
         "stderr": float(vals.std(ddof=1) / math.sqrt(len(vals))),
+        "tau_int": autocorrelation_time(per_chain),
     }
     return ["chain", "draw", "intercalates"], rows, checks, extra
 
@@ -202,14 +203,17 @@ def _exp_cuboctahedra_scan(spec: ExperimentSpec):
 
     rows = [r for chunk in _pool_map(one, tasks, spec.threads) for r in chunk]
     checks = []
-    means = {}
+    means, taus = {}, {}
     for n in _SCAN_ORDERS:
         ratios = [r[4] for r in rows if r[0] == n]
         means[n] = float(np.mean(ratios))
         checks.append(Check(f"mean-ratio-n{n}", means[n], 3.0, 6.0))
+        taus[str(n)] = autocorrelation_time(
+            [[r[3] for r in rows if r[:2] == (n, c)] for c in range(chains)])
     drift = abs(means[_SCAN_ORDERS[0]] - 4.0) - abs(means[_SCAN_ORDERS[-1]] - 4.0)
     checks.append(Check("ratio-approaches-4", drift, 0.0, None))
-    extra = {"mean_ratio": {str(n): means[n] for n in _SCAN_ORDERS}}
+    extra = {"mean_ratio": {str(n): means[n] for n in _SCAN_ORDERS},
+             "tau_int": taus}
     return ["n", "chain", "draw", "total", "ratio"], rows, checks, extra
 
 
@@ -217,7 +221,8 @@ def _exp_trp_trajectory(spec: ExperimentSpec):
     n = spec.n
     cps = list(spec.checkpoints) or [round((i + 1) * 0.08 * n * n)
                                      for i in range(10)]
-    cfg = ProcessConfig(girth=0, max_steps=max(cps))
+    # one step past the last checkpoint records the count after it
+    cfg = ProcessConfig(girth=0, max_steps=max(cps) + 1)
     res = run_process(n, substream(spec.seed, 41), cfg)
     rows, checks = [], []
     for t in cps:

@@ -9,7 +9,9 @@ bookkeeping of the removal process.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from latinlab.core import (
     to_triples,
 )
 from latinlab.counting import DEGENERACY_LABELS
+from latinlab.sampling import enumerate_squares
 
 
 def _filled_cells(obj):
@@ -325,3 +328,62 @@ def brute_cell_weights(state) -> list[list[int]]:
     for (r, c, _), safe in _triple_safety(state).items():
         w[r][c] += safe is True
     return w
+
+
+def reduced_squares(n: int) -> np.ndarray:
+    """Every order-n square with first row and column 0..n-1, stacked."""
+    grid = np.zeros((n, n), dtype=np.int64)
+    grid[0] = grid[:, 0] = np.arange(n)
+    full = (1 << n) - 1
+    row_used = [full if r == 0 else 1 << r for r in range(n)]
+    col_used = [full if c == 0 else 1 << c for c in range(n)]
+    out = []
+
+    def fill(pos: int) -> None:
+        if pos == (n - 1) * (n - 1):
+            out.append(grid.copy())
+            return
+        r, c = divmod(pos, n - 1)
+        r, c = r + 1, c + 1
+        free = ~(row_used[r] | col_used[c]) & full
+        while free:
+            bit = free & -free
+            free ^= bit
+            grid[r, c] = bit.bit_length() - 1
+            row_used[r] |= bit
+            col_used[c] |= bit
+            fill(pos + 1)
+            row_used[r] ^= bit
+            col_used[c] ^= bit
+
+    fill(0)
+    return np.array(out).reshape(-1, n, n)
+
+
+def intercalate_law(grids: np.ndarray, weight: int = 1) -> dict[int, int]:
+    """N -> number of squares with that many intercalates, over a stack
+    of grids that each stand for ``weight`` squares."""
+    n = grids.shape[1]
+    counts = np.zeros(len(grids), dtype=np.int64)
+    for r1, r2 in itertools.combinations(range(n), 2):
+        for c1, c2 in itertools.combinations(range(n), 2):
+            counts += ((grids[:, r1, c1] == grids[:, r2, c2])
+                       & (grids[:, r1, c2] == grids[:, r2, c1]))
+    values, freq = np.unique(counts, return_counts=True)
+    return {int(v): int(f) * weight for v, f in zip(values, freq)}
+
+
+@functools.cache
+def exact_intercalate_law(n: int) -> dict[int, int]:
+    """N -> number of order-n squares with N intercalates, n <= 6.
+
+    n <= 5 counts every square of ``enumerate_squares``.  n = 6 counts
+    the 9,408 reduced squares, each standing for n! (n-1)! squares:
+    relabelling the symbols and then permuting the rows below the first
+    takes each square to exactly one reduced square, and neither step
+    changes N.
+    """
+    if n <= 5:
+        return intercalate_law(np.stack([sq.grid for sq in enumerate_squares(n)]))
+    return intercalate_law(reduced_squares(n),
+                           math.factorial(n) * math.factorial(n - 1))

@@ -53,7 +53,7 @@ def test_triangle_divisibility_detector():
     intercalate = tripartite_of(
         TripleSystem(2, [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]))
     assert is_triangle_divisible(intercalate)
-    lop = graph_from_edges((2, 2, 2), [(0, (0, 0), (1, 0))])
+    lop = graph_from_edges((2, 2, 2), [(0, 0, 0)])
     assert not is_triangle_divisible(lop)
 
 

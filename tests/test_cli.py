@@ -290,10 +290,20 @@ def test_boost_graph_with_negative_vertex_is_input_error(capsys, tmp_path):
     assert "outside parts" in err
 
 
+def test_boost_graph_with_array_vertex_is_input_error(capsys, tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text('{"parts": [2, 2, 2], "edges_12": [[[0, 0], [1, 0]]]}')
+    code, _, err = run(capsys, "boost", "--graph", str(graph),
+                       "--triangles", str(graph))
+    assert code == 2
+    assert "pairs of integer vertices" in err
+
+
 def test_bad_parameters_are_input_errors(capsys, tmp_path):
     graph = tmp_path / "graph.json"
     graph.write_text("{not json")
     for argv in (["sample", "square", "--n", "0"],
+                 ["sample", "square", "--n", "5", "--burnin", "-1"],
                  ["boost", "--graph", str(graph), "--triangles", str(graph)],
                  ["process", "run", "--n", "5", "--g", "4"],
                  ["phi", "--N", "0"],

@@ -29,7 +29,7 @@ from latinlab.core import (
     validate,
 )
 from latinlab.rng import RandomStream
-from latinlab.sampling import sample_square
+from latinlab.sampling import sample_squares
 
 from reference import brute_validate
 
@@ -83,6 +83,22 @@ def test_tripartite_rejects_vertices_outside_their_part(edges):
         TripartiteGraph((2, 2, 2), **edges)
     with pytest.raises(InputError):
         parse_tripartite(json.dumps({"parts": [2, 2, 2], **edges}))
+
+
+@pytest.mark.parametrize("edges", [
+    [((0, 0), (1, 0))],       # tuple vertices: numpy reads index arrays
+    [[0, 1, 1]],
+    [[0, 1], [1]],
+    [[0.0, 1.0]],
+    [[True, False]],
+    [["0", "1"]],
+    [[0, 2**70]],
+])
+def test_tripartite_rejects_edges_that_are_not_integer_pairs(edges):
+    with pytest.raises(InputError, match="pairs of integer vertices"):
+        TripartiteGraph((2, 2, 2), edges_12=edges)
+    with pytest.raises(InputError, match="pairs of integer vertices"):
+        parse_tripartite(json.dumps({"parts": [2, 2, 2], "edges_31": edges}))
 
 
 def test_triples_roundtrip_group_table():
@@ -199,7 +215,7 @@ def test_tripartite_json_roundtrip():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 7), st.integers(0, 2**32 - 1))
 def test_sampled_square_roundtrips(n, seed):
-    sq = sample_square(n, RandomStream(seed))
+    sq = sample_squares(n, 1, RandomStream(seed))[0]
     assert validate(sq)
     back = parse_grid(serialize_square(sq))
     assert (back.grid == sq.grid).all()
@@ -239,7 +255,8 @@ def _planted_systems(draw):
     """A square prefix with out-of-range, cell, row and column clashes
     planted, several at once."""
     n = draw(st.integers(1, 6))
-    full = to_triples(sample_square(n, RandomStream(draw(st.integers(0, 99)))))
+    full = to_triples(
+        sample_squares(n, 1, RandomStream(draw(st.integers(0, 99))))[0])
     triples = list(draw(st.permutations(full.triples))[
         : draw(st.integers(1, n * n))])
     for _ in range(draw(st.integers(0, 4))):

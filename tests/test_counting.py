@@ -31,7 +31,7 @@ from latinlab.counting import (
 )
 from latinlab.process import collision_filter, sample_sparse_system
 from latinlab.rng import RandomStream
-from latinlab.sampling import sample_square, sample_squares
+from latinlab.sampling import sample_squares
 
 from reference import (
     brute_cuboctahedra,
@@ -60,14 +60,14 @@ def test_cyclic_table_total_is_n_fifth():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
 def test_intercalates_match_brute(n, seed):
-    sq = sample_square(n, RandomStream(seed))
+    sq = sample_squares(n, 1, RandomStream(seed))[0]
     assert count_intercalates(sq) == brute_intercalates(sq)
 
 
 def test_intercalates_on_rectangles_match_brute():
     rng = RandomStream(5)
     for n, k in ((6, 3), (7, 2), (8, 5)):
-        rect = restrict_rows(sample_square(n, rng), k)
+        rect = restrict_rows(sample_squares(n, 1, rng)[0], k)
         assert count_intercalates(rect) == brute_intercalates(rect)
 
 
@@ -104,7 +104,7 @@ def test_report_matches_brute_per_class():
 
 
 def test_report_partitions_total():
-    sq = sample_square(7, RandomStream(3))
+    sq = sample_squares(7, 1, RandomStream(3))[0]
     rep = cuboctahedron_report(sq)
     assert rep.total == rep.nondegenerate + rep.degenerate_total()
     assert rep.total == count_cuboctahedra_total(sq)
@@ -113,7 +113,7 @@ def test_report_partitions_total():
 
 def test_totals_match_brute_on_partial_systems():
     rng = RandomStream(23)
-    sq = sample_square(6, rng)
+    sq = sample_squares(6, 1, rng)[0]
     full = to_triples(sq)
     partial = TripleSystem(6, full.triples[: 20])
     assert count_cuboctahedra_total(partial) == brute_total(partial)
@@ -122,7 +122,7 @@ def test_totals_match_brute_on_partial_systems():
     # random shuffled prefixes of squares
     for trial in range(15):
         n = 3 + trial % 5
-        full = to_triples(sample_square(n, rng))
+        full = to_triples(sample_squares(n, 1, rng)[0])
         m = rng.randrange(len(full.triples) + 1)
         ts = TripleSystem(n, rng.shuffled(list(full.triples))[:m])
         assert count_cuboctahedra_total(ts) == brute_total(ts)
@@ -135,7 +135,7 @@ def _sample_inputs(seed):
     rng = RandomStream(seed)
     out = []
     for n in (4, 6, 8):
-        sq = sample_square(n, rng)
+        sq = sample_squares(n, 1, rng)[0]
         full = to_triples(sq)
         out += [sq, full, TripleSystem(
             n, rng.shuffled(list(full.triples))[: rng.randrange(n * n)])]
@@ -211,13 +211,13 @@ def test_counters_reject_out_of_range_triples():
 def test_subsquares_equal_brute():
     rng = RandomStream(31)
     for n in (5, 6, 7):
-        sq = sample_square(n, rng)
+        sq = sample_squares(n, 1, rng)[0]
         for k in (2, 3, 4):
             assert count_subsquares(sq, k) == brute_subsquares(sq, k)
 
 
 def test_subsquares_k2_are_intercalates():
-    sq = sample_square(8, RandomStream(41))
+    sq = sample_squares(8, 1, RandomStream(41))[0]
     assert count_subsquares(sq, 2) == count_intercalates(sq)
 
 
@@ -244,7 +244,7 @@ def test_girth_matches_brute_on_small_systems():
     rng = RandomStream(53)
     for trial in range(10):
         n = 4 + trial % 3
-        full = to_triples(sample_square(n, rng))
+        full = to_triples(sample_squares(n, 1, rng)[0])
         m = rng.randrange(len(full.triples) + 1)
         ts = TripleSystem(n, rng.shuffled(list(full.triples))[:m])
         assert girth(ts, g_max=8) == brute_girth(ts, g_max=8)
@@ -262,7 +262,7 @@ def test_girth_cap_enforced():
 
 
 def test_intercalate_configuration_embeddings():
-    sq = sample_square(6, RandomStream(61))
+    sq = sample_squares(6, 1, RandomStream(61))[0]
     config = intercalate_configuration()
     # 4 labeled embeddings (2 row orders x 2 column orders) per copy
     assert count_configuration(config, sq) == 4 * count_intercalates(sq)
@@ -278,7 +278,7 @@ def test_cuboctahedron_configuration_embeddings():
     assert count_configuration(config, xor) == 96
     assert count_configuration(config, xor) == brute_embeddings(
         config.parts, config.edges, xor)
-    sq = sample_square(5, RandomStream(67))
+    sq = sample_squares(5, 1, RandomStream(67))[0]
     assert count_configuration(config, sq) == \
         count_cuboctahedra_nondegenerate(sq)
 

@@ -1,20 +1,26 @@
 """Samplers: validity, determinism, enumeration, and light statistics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from latinlab.core import validate
+from latinlab.core import group_table, validate
 from latinlab.counting import count_intercalates
 from latinlab.rng import RandomStream, substream
 from latinlab.sampling import (
+    IncidenceCube,
     SamplerConfig,
+    autocorrelation_time,
     enumerate_squares,
     sample_rectangle,
-    sample_square,
     sample_squares,
 )
+
+from reference import exact_intercalate_law, intercalate_law, reduced_squares
 
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576, 5: 161280}
@@ -35,7 +41,7 @@ def test_enumeration_refuses_large_orders():
 @settings(max_examples=15, deadline=None)
 @given(st.integers(1, 9), st.integers(0, 2**32 - 1))
 def test_sampled_squares_are_latin(n, seed):
-    assert validate(sample_square(n, RandomStream(seed)))
+    assert validate(sample_squares(n, 1, RandomStream(seed))[0])
 
 
 def test_sampler_is_deterministic():
@@ -123,3 +129,85 @@ def test_intercalate_mean_tracks_target_at_small_n():
     vals = [count_intercalates(sq) for sq in sample_squares(6, 300, rng)]
     mean = float(np.mean(vals))
     assert 6.0 <= mean <= 12.0
+
+
+def test_exact_law_from_reduced_squares():
+    # each reduced square stands for n! (n-1)! squares
+    for n in range(2, 6):
+        weight = math.factorial(n) * math.factorial(n - 1)
+        assert intercalate_law(reduced_squares(n), weight) \
+            == exact_intercalate_law(n)
+    assert len(reduced_squares(6)) == 9408
+    assert sum(exact_intercalate_law(6).values()) == 812_851_200
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_sampled_intercalate_counts_follow_the_exact_law(n):
+    # 8 chains x 500 draws; the snapshots are a few autocorrelation
+    # times apart, so the counts are close to multinomial and the
+    # chi-square statistic is checked at its 1e-4 upper quantile
+    law = exact_intercalate_law(n)
+    total = sum(law.values())
+    draws = [count_intercalates(sq) for c in range(8)
+             for sq in sample_squares(n, 500, substream(47, n, c))]
+    assert set(draws) <= set(law)
+    # bins in increasing N, merged until each expects at least 5 draws
+    observed, expected = [], []
+    o = e = 0.0
+    for value in sorted(law):
+        o += draws.count(value)
+        e += len(draws) * law[value] / total
+        if e >= 5:
+            observed.append(o)
+            expected.append(e)
+            o = e = 0.0
+    observed[-1] += o
+    expected[-1] += e
+    obs, exp = np.array(observed), np.array(expected)
+    chi2 = float(((obs - exp) ** 2 / exp).sum())
+    assert chi2 < stats.chi2.isf(1e-4, len(obs) - 1), (chi2, observed, expected)
+
+
+@pytest.mark.parametrize("n, burn_in, thin, b, t", [
+    (5, 1.0, 0.25, 25, 6),
+    (6, 0.5, 0.25, 18, 9),
+    (4, 0.0, 0.125, 0, 2),
+])
+def test_snapshots_are_the_states_at_fixed_proper_visits(n, burn_in, thin,
+                                                         b, t):
+    cfg = SamplerConfig(burn_in_factor=burn_in, thin_factor=thin)
+    got = sample_squares(n, 5, RandomStream(3), cfg)
+    # replay the chain by hand, counting proper visits from step()
+    rng = RandomStream(3)
+    cube = IncidenceCube(group_table("cyclic", n))
+    visits = 0
+    want = []
+    while len(want) < 5:
+        if visits == b + len(want) * t:
+            want.append(cube.snapshot())
+        else:
+            visits += cube.step(rng)
+    assert got == want
+
+
+def test_default_thinning_spans_four_autocorrelation_times():
+    # N read at every proper visit; its tau_int in n^2 visits is largest
+    # at small orders (0.042 at n = 6)
+    n = 6
+    every_visit = SamplerConfig(thin_factor=1 / n**2)
+    series = [[count_intercalates(sq)
+               for sq in sample_squares(n, 2000, substream(53, c), every_visit)]
+              for c in range(4)]
+    assert 4 * autocorrelation_time(series) / n**2 <= SamplerConfig().thin_factor
+
+
+def test_autocorrelation_time_of_known_series():
+    rng = np.random.default_rng(0)
+    white = rng.standard_normal(20000)
+    assert abs(autocorrelation_time([white]) - 0.5) < 0.05
+    # AR(1) with coefficient a: tau = 1/2 + a / (1 - a) = 4.5
+    a, x = 0.8, np.zeros(len(white))
+    for i in range(1, len(x)):
+        x[i] = a * x[i - 1] + white[i]
+    assert abs(autocorrelation_time([x[:10000], x[10000:]]) - 4.5) < 0.6
+    assert math.isnan(autocorrelation_time([[3, 3, 3]]))
