@@ -12,7 +12,7 @@ absorber modules work with.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -465,28 +465,6 @@ def from_triples(ts: TripleSystem):
     raise ValueError("triples do not fill a leading block of rows")
 
 
-def restrict_rows(square: LatinSquare, k: int) -> LatinRectangle:
-    if not 1 <= k <= square.n:
-        raise ValueError(f"need 1 <= k <= {square.n}, got {k}")
-    return LatinRectangle(square.grid[:k])
-
-
-def tripartite_of(ts) -> TripartiteGraph:
-    """The graph G(Q): an edge per covered row/column, row/symbol,
-    column/symbol pair.  Triples become triangles."""
-    if isinstance(ts, (LatinSquare, LatinRectangle)):
-        ts = to_triples(ts)
-    n = ts.n
-    a12 = np.zeros((n, n), dtype=bool)
-    a23 = np.zeros((n, n), dtype=bool)
-    a31 = np.zeros((n, n), dtype=bool)
-    for r, c, s in ts.triples:
-        a12[r, c] = True   # row-column
-        a23[c, s] = True   # column-symbol
-        a31[s, r] = True   # symbol-row
-    return TripartiteGraph.from_adjacency(a12, a23, a31)
-
-
 # ---------------------------------------------------------------------------
 # text and JSON formats
 
@@ -500,15 +478,6 @@ def serialize_square(sq: LatinSquare) -> str:
 def serialize_rectangle(rect: LatinRectangle) -> str:
     lines = [f"{rect.k} {rect.n}"]
     lines += [" ".join(str(int(x)) for x in row) for row in rect.grid]
-    return "\n".join(lines) + "\n"
-
-
-def serialize_partial(ts: TripleSystem) -> str:
-    """Grid form with '.' on empty cells; header is the order n."""
-    grid = ts.cell_grid()
-    lines = [str(ts.n)]
-    for row in grid:
-        lines.append(" ".join("." if x < 0 else str(int(x)) for x in row))
     return "\n".join(lines) + "\n"
 
 

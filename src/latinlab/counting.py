@@ -35,7 +35,13 @@ on a line taken in both orders.
 
 Girth here is the triple-system girth: the smallest g > 3 such that some
 g vertices of the tripartite vertex set span g - 2 triples.  Girth
-greater than 6 is equivalent to having no intercalate.
+greater than 6 is equivalent to having no intercalate.  A smallest such
+configuration is a connected triple set, and the search generates each
+connected set spanning at most g_max vertices once, from its least
+member, by Wernicke's ESU enumeration: a set grows only by triples from
+its extension list, which gains, with each added triple, the triples
+above the root that meet it and nothing the set already spans.  No set
+of visited states is kept.
 """
 
 from __future__ import annotations
@@ -489,10 +495,15 @@ def girth(obj, g_max: int = 12) -> int | None:
     """Smallest g in (3, g_max] with g vertices spanning g - 2 triples.
 
     Returns None when every configuration on at most g_max vertices is
-    strictly sparser, i.e. the girth exceeds g_max.  Search is a DFS over
-    connected triple sets rooted at each triple (extensions restricted to
-    larger indices, so each configuration is generated from its minimal
-    member), pruning any state that spans too many vertices.
+    strictly sparser, i.e. the girth exceeds g_max.  The search lists
+    every connected triple set whose least member is the root exactly
+    once (Wernicke's ESU enumeration, with triples as the nodes and a
+    shared vertex as the edge), so no set of visited states is kept.  A
+    state is its member count, the bitmask of the vertices it spans and
+    its extension list.  Vertex counts only grow along a branch, so a
+    triple that would take the span past g_max, or to the best girth
+    found so far, is skipped, and a set spanning |members| + 2 vertices
+    is recorded and not extended.
     """
     if isinstance(obj, (LatinSquare, LatinRectangle)):
         obj = to_triples(obj)
@@ -502,42 +513,54 @@ def girth(obj, g_max: int = 12) -> int | None:
         raise InputError("girth search is desk-capped at g_max <= 12")
     n = obj.n
     tris = [(r, n + c, 2 * n + s) for r, c, s in obj.triples]
-    incident: dict[int, list[int]] = {}
+    # one bit per distinct vertex id: entries outside range(n), which a
+    # TripleSystem keeps, may give negative ids or ids shared by two parts
+    bit = {v: i for i, v in enumerate(sorted({v for tri in tris for v in tri}))}
+    tris = [tuple(bit[v] for v in tri) for tri in tris]
+    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in tris]
+    incident: list[list[int]] = [[] for _ in bit]
     for t, tri in enumerate(tris):
-        for v in tri:
-            incident.setdefault(v, []).append(t)
+        for v in set(tri):
+            incident[v].append(t)
 
     best: int | None = None
+    cap = g_max
 
-    def search(root: int) -> None:
-        nonlocal best
-        stack = [(frozenset([root]), frozenset(tris[root]))]
-        seen = {frozenset([root])}
-        while stack:
-            members, verts = stack.pop()
-            bound = (best if best is not None else g_max + 1) - 1
-            cands = set()
-            for v in verts:
-                for t in incident.get(v, ()):
-                    if t > root and t not in members:
-                        cands.add(t)
-            for t in cands:
-                nv = verts | frozenset(tris[t])
-                if len(nv) > min(g_max, bound):
-                    continue
-                nm = members | {t}
-                if nm in seen:
-                    continue
-                seen.add(nm)
-                if len(nv) == len(nm) + 2:
-                    best = len(nv) if best is None else min(best, len(nv))
-                    continue
-                stack.append((nm, nv))
+    def extend(ext: list[int], root: int, w: int, spanned: int) -> None:
+        # ESU's exclusive neighbourhood of w, appended once each: the
+        # triples above the root that meet w and no vertex in ``spanned``
+        blocked = spanned
+        for v in tris[w]:
+            b = 1 << v
+            if blocked & b:
+                continue
+            for u in incident[v]:
+                if u > root and not masks[u] & blocked:
+                    ext.append(u)
+            blocked |= b
+
+    def grow(size: int, spanned: int, ext: list[int], root: int) -> None:
+        nonlocal best, cap
+        while ext:
+            w = ext.pop()
+            nv = spanned | masks[w]
+            count = nv.bit_count()
+            if count > cap:
+                continue
+            if count == size + 3:
+                best = count
+                cap = count - 1
+                continue
+            child = ext.copy()
+            extend(child, root, w, spanned)
+            grow(size + 1, nv, child, root)
 
     for root in range(len(tris)):
         if best == 4:
             break
-        search(root)
+        ext: list[int] = []
+        extend(ext, root, root, 0)
+        grow(1, masks[root], ext, root)
     return best
 
 

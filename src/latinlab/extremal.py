@@ -24,17 +24,14 @@ disjoint smaller XOR block when N lands between table values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
     InputError,
-    LatinSquare,
     TripleSystem,
     group_table,
     to_triples,
-    validate,
 )
 from .counting import count_intercalates
 
@@ -207,29 +204,3 @@ def phi_report(N: int, max_cells: int = ORACLE_CELL_CAP) -> PhiRecord:
         ratio_lower=lower / scale,
         ratio_upper=upper / scale,
     )
-
-
-# ---------------------------------------------------------------------------
-# triangle counting behind the lower bound
-
-
-def graph_triangles(ts: TripleSystem) -> int:
-    """Triangles of the tripartite graph of ts (cells plus spurious ones).
-
-    Every configuration satisfies triangles >= |Q| + 4 N(Q): each
-    intercalate's octahedron has four triangle faces besides its cells.
-    """
-    rc: dict[int, set[int]] = {}
-    cs: dict[int, set[int]] = {}
-    sr: dict[int, set[int]] = {}
-    for r, c, s in ts.triples:
-        rc.setdefault(r, set()).add(c)
-        cs.setdefault(c, set()).add(s)
-        sr.setdefault(s, set()).add(r)
-    total = 0
-    for r, cols in rc.items():
-        for c in cols:
-            for s in cs.get(c, ()):
-                if r in sr.get(s, ()):
-                    total += 1
-    return total

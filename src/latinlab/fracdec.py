@@ -150,14 +150,6 @@ def complete_host(n: int) -> TripartiteGraph:
     return TripartiteGraph.from_adjacency(full, full, full)
 
 
-def all_triangles(host: TripartiteGraph) -> TriangleSet:
-    n = host.parts[0]
-    cube = (host.adj12[:, :, None]
-            & host.adj23[None, :, :]
-            & host.adj31.T[:, None, :])
-    return TriangleSet(host, np.argwhere(cube))
-
-
 def conforming_instance(n: int, layers: int = 3) -> TriangleSet:
     """All triangles of K_{n,n,n} minus ``layers`` disjoint cyclic-shift
     squares: every edge lies in exactly n - layers triangles, so the
@@ -170,13 +162,6 @@ def conforming_instance(n: int, layers: int = 3) -> TriangleSet:
     for d in range(layers):
         cube[i, j, (i + j + d) % n] = False
     return TriangleSet(host, np.argwhere(cube))
-
-
-def thinned_instance(n: int, q: float, rng: RandomStream) -> TriangleSet:
-    """All triangles of K_{n,n,n}, kept independently with probability q."""
-    keep = rng.generator.random(n**3) < q
-    grid = keep.reshape(n, n, n)
-    return TriangleSet(complete_host(n), np.argwhere(grid))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,14 @@ import numpy as np
 from latinlab.core import (
     LatinRectangle,
     LatinSquare,
+    TripartiteGraph,
     TripleSystem,
     ValidityReport,
     to_triples,
 )
 from latinlab.counting import DEGENERACY_LABELS
+from latinlab.fracdec import TriangleSet, complete_host
+from latinlab.rng import RandomStream
 from latinlab.sampling import enumerate_squares
 
 
@@ -268,6 +271,33 @@ def brute_girth(obj, g_max: int = 8) -> int | None:
     return best
 
 
+def connected_triple_sets(obj, max_vertices: int) -> int:
+    """Number of non-empty triple sets that are connected through shared
+    vertices and span at most ``max_vertices`` vertices.
+
+    Every subset of up to ``max_vertices - 3`` triples is tried.  That is
+    exact when the girth exceeds ``max_vertices``: then any i >= 2
+    connected triples span at least i + 3 vertices.
+    """
+    tris = [frozenset((("r", r), ("c", c), ("s", s))) for r, c, s in obj.triples]
+    count = 0
+    for i in range(1, max_vertices - 2):
+        for sub in itertools.combinations(tris, i):
+            if len(frozenset().union(*sub)) > max_vertices:
+                continue
+            reached, rest = set(sub[0]), list(sub[1:])
+            grew = True
+            while grew:
+                grew = False
+                for t in list(rest):
+                    if reached & t:
+                        reached |= t
+                        rest.remove(t)
+                        grew = True
+            count += not rest
+    return count
+
+
 def brute_embeddings(parts, edges, host) -> int:
     """Color-preserving injective embeddings, checked by raw enumeration."""
     if isinstance(host, (LatinSquare, LatinRectangle)):
@@ -387,3 +417,74 @@ def exact_intercalate_law(n: int) -> dict[int, int]:
         return intercalate_law(np.stack([sq.grid for sq in enumerate_squares(n)]))
     return intercalate_law(reduced_squares(n),
                            math.factorial(n) * math.factorial(n - 1))
+
+
+# ---------------------------------------------------------------------------
+# fixtures: rectangles, graphs and triangle sets built only by the tests
+
+
+def restrict_rows(square: LatinSquare, k: int) -> LatinRectangle:
+    if not 1 <= k <= square.n:
+        raise ValueError(f"need 1 <= k <= {square.n}, got {k}")
+    return LatinRectangle(square.grid[:k])
+
+
+def tripartite_of(ts) -> TripartiteGraph:
+    """The graph G(Q): an edge per covered row/column, row/symbol,
+    column/symbol pair.  Triples become triangles."""
+    if isinstance(ts, (LatinSquare, LatinRectangle)):
+        ts = to_triples(ts)
+    n = ts.n
+    a12 = np.zeros((n, n), dtype=bool)
+    a23 = np.zeros((n, n), dtype=bool)
+    a31 = np.zeros((n, n), dtype=bool)
+    for r, c, s in ts.triples:
+        a12[r, c] = True   # row-column
+        a23[c, s] = True   # column-symbol
+        a31[s, r] = True   # symbol-row
+    return TripartiteGraph.from_adjacency(a12, a23, a31)
+
+
+def serialize_partial(ts: TripleSystem) -> str:
+    """Grid form with '.' on empty cells; header is the order n."""
+    grid = ts.cell_grid()
+    lines = [str(ts.n)]
+    for row in grid:
+        lines.append(" ".join("." if x < 0 else str(int(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def all_triangles(host: TripartiteGraph) -> TriangleSet:
+    cube = (host.adj12[:, :, None]
+            & host.adj23[None, :, :]
+            & host.adj31.T[:, None, :])
+    return TriangleSet(host, np.argwhere(cube))
+
+
+def thinned_instance(n: int, q: float, rng: RandomStream) -> TriangleSet:
+    """All triangles of K_{n,n,n}, kept independently with probability q."""
+    keep = rng.generator.random(n**3) < q
+    grid = keep.reshape(n, n, n)
+    return TriangleSet(complete_host(n), np.argwhere(grid))
+
+
+def graph_triangles(ts: TripleSystem) -> int:
+    """Triangles of the tripartite graph of ts (cells plus spurious ones).
+
+    Every configuration satisfies triangles >= |Q| + 4 N(Q): each
+    intercalate's octahedron has four triangle faces besides its cells.
+    """
+    rc: dict[int, set[int]] = {}
+    cs: dict[int, set[int]] = {}
+    sr: dict[int, set[int]] = {}
+    for r, c, s in ts.triples:
+        rc.setdefault(r, set()).add(c)
+        cs.setdefault(c, set()).add(s)
+        sr.setdefault(s, set()).add(r)
+    total = 0
+    for r, cols in rc.items():
+        for c in cols:
+            for s in cs.get(c, ()):
+                if r in sr.get(s, ()):
+                    total += 1
+    return total

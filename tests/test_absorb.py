@@ -25,8 +25,10 @@ from latinlab.absorb import (
     verify_cycle_partition,
     verify_triangle_decomposition,
 )
-from latinlab.core import TripleSystem, tripartite_of
+from latinlab.core import TripleSystem
 from latinlab.rng import RandomStream, substream
+
+from reference import tripartite_of
 
 
 def test_sphere_sizes_and_certificates():

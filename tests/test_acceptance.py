@@ -35,7 +35,6 @@ from latinlab.counting import (
     girth,
 )
 from latinlab.extremal import (
-    graph_triangles,
     max_intercalates_oracle,
     phi_exact,
     phi_lower_bound,
@@ -58,7 +57,7 @@ from latinlab.process import (
 from latinlab.rng import RandomStream, substream
 from latinlab.sampling import enumerate_squares, sample_rectangle, sample_squares
 
-from reference import brute_intercalates, brute_report
+from reference import brute_intercalates, brute_report, graph_triangles
 
 
 def _verdict(name: str, ok: bool, detail: str) -> bool:

@@ -18,20 +18,17 @@ from latinlab.core import (
     parse_grid,
     parse_tripartite,
     parse_triples,
-    restrict_rows,
-    serialize_partial,
     serialize_rectangle,
     serialize_square,
     serialize_tripartite,
     serialize_triples,
     to_triples,
-    tripartite_of,
     validate,
 )
 from latinlab.rng import RandomStream
 from latinlab.sampling import sample_squares
 
-from reference import brute_validate
+from reference import brute_validate, restrict_rows, serialize_partial, tripartite_of
 
 
 def test_cyclic_table_is_latin():

@@ -1,6 +1,7 @@
 """Fast counters against the brute-force oracles."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from latinlab.core import (
     LatinSquare,
     TripleSystem,
     group_table,
-    restrict_rows,
     to_triples,
 )
 from latinlab.counting import (
@@ -31,7 +31,7 @@ from latinlab.counting import (
 )
 from latinlab.process import collision_filter, sample_sparse_system
 from latinlab.rng import RandomStream
-from latinlab.sampling import sample_squares
+from latinlab.sampling import sample_rectangle, sample_squares
 
 from reference import (
     brute_cuboctahedra,
@@ -41,6 +41,8 @@ from reference import (
     brute_report,
     brute_subsquares,
     brute_total,
+    connected_triple_sets,
+    restrict_rows,
 )
 
 
@@ -240,14 +242,101 @@ def test_girth_of_intercalate_is_six():
     assert girth(ts) == 6
 
 
-def test_girth_matches_brute_on_small_systems():
-    rng = RandomStream(53)
-    for trial in range(10):
-        n = 4 + trial % 3
-        full = to_triples(sample_squares(n, 1, rng)[0])
-        m = rng.randrange(len(full.triples) + 1)
-        ts = TripleSystem(n, rng.shuffled(list(full.triples))[:m])
-        assert girth(ts, g_max=8) == brute_girth(ts, g_max=8)
+@st.composite
+def small_triple_systems(draw):
+    """Up to 16 triples from a sampled square, a sampled 2- or 3-row
+    rectangle, or uniform triples that may share a cell, row-symbol or
+    column-symbol pair (not Latin)."""
+    kind = draw(st.sampled_from(("square", "rectangle", "not-latin")))
+    n = draw(st.integers(3, 6))
+    rng = RandomStream(draw(st.integers(0, 2**32 - 1)))
+    if kind == "square":
+        triples = to_triples(sample_squares(n, 1, rng)[0]).triples
+    elif kind == "rectangle":
+        rect = sample_rectangle(draw(st.integers(2, 3)), n, rng)
+        triples = to_triples(rect).triples
+    else:
+        triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                   for _ in range(2 * n)]
+    keep = draw(st.integers(0, 16))
+    return TripleSystem(n, rng.shuffled(triples)[:keep])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_triple_systems())
+def test_girth_matches_brute_on_small_systems(ts):
+    for g_max in range(4, 9):
+        assert girth(ts, g_max=g_max) == brute_girth(ts, g_max=g_max)
+
+
+# Not Latin: two triples in one cell span 4 vertices, and a third triple
+# through that cell's row and one of its symbols makes 3 triples on 5
+# vertices.  No partial Latin square has girth 5, since 3 triples on 5
+# vertices always hold two that share 2 vertices.  The intercalate at the
+# front makes the search find 6 before the 4 that a later root holds.
+PLANTED = {
+    "two-in-one-cell": [(0, 0, 0), (0, 0, 1)],
+    "five-vertex": [(0, 0, 0), (0, 0, 1), (0, 1, 0)],
+    "intercalate": [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)],
+    "intercalate-then-cell": [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0),
+                              (2, 2, 2), (2, 2, 0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_girth_of_planted_configurations(name):
+    ts = TripleSystem(3, PLANTED[name])
+    for g_max in range(4, 9):
+        assert girth(ts, g_max=g_max) == brute_girth(ts, g_max=g_max)
+
+
+def _girth_states(ts, g_max):
+    """girth(ts, g_max) and, for each state the search enters (a call of
+    its inner ``grow``, whose locals are read here), the number of
+    vertices it spans and the best girth found before it."""
+    grow = next(c for c in girth.__code__.co_consts
+                if getattr(c, "co_name", None) == "grow")
+    states = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code is grow:
+            states.append((frame.f_locals["spanned"].bit_count(),
+                           frame.f_locals["best"]))
+
+    old = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        found = girth(ts, g_max=g_max)
+    finally:
+        sys.setprofile(old)
+    return found, states
+
+
+@pytest.mark.parametrize("n,g_max", [(5, 6), (6, 6), (8, 7), (8, 8)])
+def test_girth_search_enters_each_connected_set_once(n, g_max):
+    # On a miss every connected set spanning at most g_max vertices is a
+    # state, and ESU enters each one once, from its least triple.
+    rng = RandomStream(700 + n + g_max)
+    for _ in range(20):
+        full = to_triples(sample_squares(n, 1, rng)[0]).triples
+        ts = TripleSystem(n, rng.shuffled(full)[:rng.randrange(13)])
+        if brute_girth(ts, g_max=g_max) is None:
+            found, states = _girth_states(ts, g_max)
+            assert found is None
+            assert len(states) == connected_triple_sets(ts, g_max)
+
+
+def test_girth_search_prunes_at_the_best_girth_found():
+    # after a hit at g, no state spans g or more vertices: such a set
+    # cannot grow into a configuration on fewer vertices
+    pruned = 0
+    for i in range(4):
+        sq = sample_squares(6, 1, RandomStream(710 + i))[0]
+        found, states = _girth_states(sq, 8)
+        assert found == brute_girth(sq, g_max=6) == 6
+        assert all(best is None or v < best for v, best in states)
+        pruned += sum(best is not None for _, best in states)
+    assert pruned > 0
 
 
 def test_girth_none_when_capped_below_six():

@@ -8,7 +8,6 @@ from latinlab.core import TripleSystem, validate
 from latinlab.counting import count_intercalates
 from latinlab.extremal import (
     ORACLE_CELL_CAP,
-    graph_triangles,
     max_intercalates_oracle,
     phi_exact,
     phi_lower_bound,
@@ -16,7 +15,7 @@ from latinlab.extremal import (
     phi_upper_bound,
 )
 
-from reference import brute_intercalates
+from reference import brute_intercalates, graph_triangles
 
 
 def test_oracle_small_values():

@@ -3,25 +3,21 @@
 import numpy as np
 import pytest
 
-from latinlab.core import group_table, tripartite_of
 from latinlab.fracdec import (
-    BoostDiverged,
     RegParams,
     TriangleSet,
-    WeightFunction,
-    all_triangles,
     boost,
     check_conditions,
-    chi_part,
     chi_uv,
     complete_host,
     conforming_instance,
     phi0,
     psi_cycle,
     psi_e,
-    thinned_instance,
 )
 from latinlab.rng import RandomStream, substream
+
+from reference import all_triangles, thinned_instance, tripartite_of
 
 
 def small_conforming(n=12):
