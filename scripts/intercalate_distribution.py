@@ -16,8 +16,8 @@ import numpy as np
 from scipy import stats
 
 from latinlab.counting import count_intercalates
-from latinlab.rng import RandomStream, substream
-from latinlab.sampling import sample_rectangle, sample_squares
+from latinlab.rng import RandomStream
+from latinlab.sampling import sample_rectangles, sample_squares
 
 
 def main(argv=None) -> int:
@@ -31,16 +31,14 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="results")
     args = ap.parse_args(argv)
 
+    rng = RandomStream(args.seed)
     if args.mode == "square":
-        grids = sample_squares(args.n, args.samples, RandomStream(args.seed))
-        counts = np.array([count_intercalates(sq) for sq in grids])
+        grids = sample_squares(args.n, args.samples, rng)
         target = args.n**2 / 4
     else:
-        counts = np.array([
-            count_intercalates(sample_rectangle(args.k, args.n,
-                                                substream(args.seed, i)))
-            for i in range(args.samples)])
+        grids = sample_rectangles(args.k, args.n, args.samples, rng)
         target = args.k * (args.k - 1) / 4
+    counts = np.array([count_intercalates(g) for g in grids])
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"intercalates_{args.mode}.csv")

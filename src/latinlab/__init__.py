@@ -28,7 +28,13 @@ from .counting import (
     girth,
 )
 from .rng import RandomStream, substream
-from .sampling import SamplerConfig, enumerate_squares, sample_rectangle, sample_squares
+from .sampling import (
+    SamplerConfig,
+    enumerate_squares,
+    sample_rectangle,
+    sample_rectangles,
+    sample_squares,
+)
 from .process import ProcessConfig, run_process
 
 __all__ = [
@@ -52,6 +58,7 @@ __all__ = [
     "SamplerConfig",
     "enumerate_squares",
     "sample_rectangle",
+    "sample_rectangles",
     "sample_squares",
     "ProcessConfig",
     "run_process",

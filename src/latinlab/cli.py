@@ -77,7 +77,7 @@ from .extremal import ORACLE_CELL_CAP, phi_report
 from .fracdec import RegParams, TriangleSet, boost
 from .process import ProcessConfig, run_process
 from .rng import RandomStream
-from .sampling import SamplerConfig, sample_rectangle, sample_squares
+from .sampling import SamplerConfig, sample_rectangles, sample_squares
 
 
 def _read(path: str) -> str:
@@ -223,8 +223,7 @@ def _cmd_sample(args) -> int:
     else:
         if args.k is None:
             raise InputError("sample rectangle needs --k")
-        rects = [sample_rectangle(args.k, args.n, rng, cfg)
-                 for _ in range(args.count)]
+        rects = sample_rectangles(args.k, args.n, args.count, rng, cfg)
         text = "".join(serialize_rectangle(r) for r in rects)
     _write_out(text, args.out)
     return 0

@@ -503,7 +503,8 @@ def girth(obj, g_max: int = 12) -> int | None:
     its extension list.  Vertex counts only grow along a branch, so a
     triple that would take the span past g_max, or to the best girth
     found so far, is skipped, and a set spanning |members| + 2 vertices
-    is recorded and not extended.
+    is recorded and not extended.  Systems need not be Latin, but a
+    coordinate outside range(n) raises InputError.
     """
     if isinstance(obj, (LatinSquare, LatinRectangle)):
         obj = to_triples(obj)
@@ -512,15 +513,16 @@ def girth(obj, g_max: int = 12) -> int | None:
     if g_max > 12:
         raise InputError("girth search is desk-capped at g_max <= 12")
     n = obj.n
+    # vertex ids r, n + c, 2n + s are the bit positions; an entry outside
+    # range(n), which a TripleSystem keeps, would alias another part
+    for t in obj.triples:
+        if not all(0 <= x < n for x in t):
+            raise InputError(f"coordinate out of range in {t}")
     tris = [(r, n + c, 2 * n + s) for r, c, s in obj.triples]
-    # one bit per distinct vertex id: entries outside range(n), which a
-    # TripleSystem keeps, may give negative ids or ids shared by two parts
-    bit = {v: i for i, v in enumerate(sorted({v for tri in tris for v in tri}))}
-    tris = [tuple(bit[v] for v in tri) for tri in tris]
     masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in tris]
-    incident: list[list[int]] = [[] for _ in bit]
+    incident: list[list[int]] = [[] for _ in range(3 * n)]
     for t, tri in enumerate(tris):
-        for v in set(tri):
+        for v in tri:
             incident[v].append(t)
 
     best: int | None = None

@@ -46,7 +46,7 @@ from .process import (
     sample_sparse_system,
 )
 from .rng import substream
-from .sampling import autocorrelation_time, sample_rectangle, sample_squares
+from .sampling import autocorrelation_time, sample_rectangles, sample_squares
 
 
 @dataclass(frozen=True)
@@ -160,8 +160,8 @@ def _exp_rectangle_poisson(spec: ExperimentSpec):
 
     def one(c: int) -> list[int]:
         rng = substream(spec.seed, 23, c)
-        return [count_intercalates(sample_rectangle(k, n, rng))
-                for _ in range(counts[c])]
+        return [count_intercalates(rect)
+                for rect in sample_rectangles(k, n, counts[c], rng)]
 
     per_chunk = _pool_map(one, range(chunks), spec.threads)
     rows = [(c, d, v)

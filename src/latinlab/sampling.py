@@ -10,14 +10,27 @@ is mirrored, choosing among the two +1 slots on each of the three lines
 through the -1.  The cube is never materialized: three n x n occupancy
 arrays plus one record for the improper triple carry the whole state.
 
-Rectangles are sampled by exact rejection: k independent uniform row
-permutations, accepted when no column repeats a symbol.  Acceptance
-tends to exp(-k(k-1)/2), so this is practical for small k only, but the
-output distribution is exactly uniform.
+Rectangles are sampled by exact rejection, in numpy batches.  The map
+L -> (L[0], N), where N is L with its columns reordered so that row 0
+reads 0, 1, ..., n-1, is a bijection from k x n Latin rectangles onto
+pairs of a permutation and a normalized rectangle, so a uniform
+rectangle is N[:, pi] for a uniform permutation pi and an independent
+uniform normalized N.  Rows 1..k-1 of N are drawn as independent uniform
+permutations (Fisher-Yates, ``Generator.permuted``), and the whole tuple
+is kept when no column repeats a symbol: conditioning the product law
+on that event leaves it uniform on normalized rectangles.  The check is
+staged, row by row: a tuple is dropped as soon as its newest row clashes
+with an earlier one, and later rows are drawn for the survivors only.
+That changes the cost, not the law, since the tuple is rejected whatever
+its later rows are.  Redrawing just the clashing row would bias the law.
+Survivors are independent, so the first ones in batch order are kept.
+Acceptance tends to exp(-k(k-1)/2), so this is practical for small k
+only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +60,10 @@ class SamplerConfig:
     (n = 9 and 21, whose cyclic squares have N = 0), and the mean over
     16-32 chains of the total, which starts 4-8 times too high, within
     0.06-0.1 n^2 (n = 16, 32).  Burn-in is 1 n^2, eight times longer.
+
+    ``rectangle_budget`` is in candidate row tuples per rectangle asked
+    for: a ``sample_rectangles`` call of ``count`` rectangles raises
+    RuntimeError after ``count * rectangle_budget`` candidates.
     """
 
     burn_in_factor: float = 1.0
@@ -237,22 +254,55 @@ def enumerate_squares(n: int) -> list[LatinSquare]:
     return [LatinSquare(g) for g in np.array(found).reshape(-1, n, n)]
 
 
+# candidate entries (batch rows x n) drawn at once, which keeps memory flat
+_BATCH_ENTRIES = 1 << 16
+
+
+def sample_rectangles(
+    k: int,
+    n: int,
+    count: int,
+    rng: RandomStream,
+    config: SamplerConfig | None = None,
+) -> list[LatinRectangle]:
+    """``count`` independent uniform k x n Latin rectangles, drawn by
+    staged rejection in batches (see the module docstring).  Raises
+    RuntimeError when ``config.rectangle_budget`` runs out."""
+    cfg = config or SamplerConfig()
+    if not 1 <= k <= n:
+        raise InputError(f"need 1 <= k <= n, got k={k} n={n}")
+    gen = rng.generator
+    ident = np.arange(n)
+    cap = max(1, _BATCH_ENTRIES // n)
+    # acceptance sizes the batch only; below 1/cap every batch is capped
+    accept = max(math.exp(-k * (k - 1) / 2), 1 / cap)
+    budget = count * cfg.rectangle_budget
+    out: list[LatinRectangle] = []
+    while len(out) < count:
+        need = count - len(out)
+        b = min(cap, budget, math.ceil(need / accept))
+        if b == 0:
+            raise RuntimeError(
+                f"no {count} Latin rectangles in {count * cfg.rectangle_budget}"
+                f" candidates at k={k}, n={n}")
+        budget -= b
+        rows = np.broadcast_to(ident, (b, 1, n))
+        for _ in range(1, k):
+            new = gen.permuted(np.tile(ident, (len(rows), 1)), axis=1)
+            ok = (new[:, None, :] != rows).all(axis=(1, 2))
+            rows = np.concatenate((rows[ok], new[ok, None, :]), axis=1)
+        rows = rows[:need]
+        pi = gen.permuted(np.tile(ident, (len(rows), 1)), axis=1)
+        out += map(LatinRectangle, np.take_along_axis(rows, pi[:, None, :],
+                                                      axis=2))
+    return out
+
+
 def sample_rectangle(
     k: int,
     n: int,
     rng: RandomStream,
     config: SamplerConfig | None = None,
 ) -> LatinRectangle:
-    """Uniform k x n Latin rectangle by rejection over row permutations."""
-    cfg = config or SamplerConfig()
-    if not 1 <= k <= n:
-        raise InputError(f"need 1 <= k <= n, got k={k} n={n}")
-    gen = rng.generator
-    for _ in range(cfg.rectangle_budget):
-        rows = np.stack([gen.permutation(n) for _ in range(k)])
-        srt = np.sort(rows, axis=0)
-        if not (srt[1:] == srt[:-1]).any():
-            return LatinRectangle(rows)
-    raise RuntimeError(
-        f"no Latin rectangle in {cfg.rectangle_budget} attempts at k={k}, n={n}"
-    )
+    """One uniform k x n Latin rectangle."""
+    return sample_rectangles(k, n, 1, rng, config)[0]

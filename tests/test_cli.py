@@ -104,6 +104,25 @@ def test_sample_rectangle_stdout(capsys):
     assert rect.k == 3 and rect.n == 8
 
 
+def test_sample_rectangle_count_prints_each_rectangle(capsys):
+    code, out, _ = run(capsys, "sample", "rectangle", "--n", "8", "--k", "3",
+                       "--count", "5", "--seed", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 5 * 4
+    for i in range(0, len(lines), 4):
+        rect = parse_grid("\n".join(lines[i:i + 4]))
+        assert rect.k == 3 and rect.n == 8
+
+
+def test_count_girth_rejects_out_of_range_triples(capsys, tmp_path):
+    path = tmp_path / "alias.txt"
+    path.write_text("3\n0 3 0\n0 3 1\n1 1 1\n")
+    code, _, err = run(capsys, "count", "girth", str(path))
+    assert code == 2
+    assert "out of range" in err
+
+
 def test_sample_rectangle_requires_k(capsys):
     code, _, err = run(capsys, "sample", "rectangle", "--n", "8")
     assert code == 2

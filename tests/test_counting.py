@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latinlab.core import (
+    InputError,
     LatinSquare,
     TripleSystem,
     group_table,
@@ -337,6 +338,15 @@ def test_girth_search_prunes_at_the_best_girth_found():
         assert all(best is None or v < best for v, best in states)
         pruned += sum(best is not None for _, best in states)
     assert pruned > 0
+
+
+@pytest.mark.parametrize("triples", [
+    [(0, 3, 0), (0, 3, 1), (1, 1, 1)],   # column 3 would alias symbol 0
+    [(0, 0, 0), (0, 1, -1)],
+])
+def test_girth_rejects_out_of_range_coordinates(triples):
+    with pytest.raises(InputError, match="out of range"):
+        girth(TripleSystem(3, triples))
 
 
 def test_girth_none_when_capped_below_six():

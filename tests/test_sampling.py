@@ -1,5 +1,6 @@
 """Samplers: validity, determinism, enumeration, and light statistics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from latinlab.sampling import (
     autocorrelation_time,
     enumerate_squares,
     sample_rectangle,
+    sample_rectangles,
     sample_squares,
 )
 
@@ -75,12 +77,45 @@ def test_rectangle_sampler_shape_and_validity():
     rect = sample_rectangle(3, 9, rng)
     assert rect.k == 3 and rect.n == 9
     assert validate(rect)
+    batch = sample_rectangles(4, 9, 40, rng)
+    assert len(batch) == 40
+    assert all(r.k == 4 and r.n == 9 and validate(r) for r in batch)
+    assert sample_rectangles(3, 9, 0, rng) == []
 
 
 def test_rectangle_sampler_determinism():
     a = sample_rectangle(3, 12, RandomStream(4))
     b = sample_rectangle(3, 12, RandomStream(4))
     assert (a.grid == b.grid).all()
+    batch = sample_rectangles(4, 9, 40, RandomStream(5))
+    assert batch == sample_rectangles(4, 9, 40, RandomStream(5))
+    assert batch != sample_rectangles(4, 9, 40, RandomStream(6))
+
+
+def test_rectangle_budget_counts_candidate_tuples():
+    # 1128960 of the 720^5 normalized 6 x 6 candidates are Latin
+    with pytest.raises(RuntimeError):
+        sample_rectangles(6, 6, 2, RandomStream(7),
+                          SamplerConfig(rectangle_budget=1000))
+
+
+@pytest.mark.parametrize("k, n, size", [(2, 4, 216), (3, 4, 576)])
+def test_sampled_rectangles_follow_the_uniform_law(k, n, size):
+    # every k x n rectangle, 20 expected draws each, over 8 calls so
+    # that batch boundaries fall inside the sample; chi-square is
+    # checked at its 1e-4 upper quantile
+    perms = list(itertools.permutations(range(n)))
+    cells = [rows for rows in itertools.product(perms, repeat=k)
+             if all(len(set(col)) == k for col in zip(*rows))]
+    assert len(cells) == size
+    index = {np.array(rows).tobytes(): i for i, rows in enumerate(cells)}
+    draws = [index[r.grid.astype(np.int64).tobytes()] for c in range(8)
+             for r in sample_rectangles(k, n, 20 * size // 8,
+                                        substream(61, k, c))]
+    obs = np.bincount(draws, minlength=size)
+    exp = len(draws) / size
+    chi2 = float(((obs - exp) ** 2 / exp).sum())
+    assert chi2 < stats.chi2.isf(1e-4, size - 1), chi2
 
 
 def test_rectangle_first_row_is_uniform_permutation():
