@@ -23,6 +23,7 @@ from .counting import (
     count_cuboctahedra_nondegenerate,
     count_cuboctahedra_total,
     count_intercalates,
+    count_intercalates_each,
     count_subsquares,
     cuboctahedron_report,
     girth,
@@ -50,6 +51,7 @@ __all__ = [
     "count_cuboctahedra_nondegenerate",
     "count_cuboctahedra_total",
     "count_intercalates",
+    "count_intercalates_each",
     "count_subsquares",
     "cuboctahedron_report",
     "girth",

@@ -17,6 +17,7 @@ Usage sketch:
     latinlab absorb gadget --h C3
     latinlab absorb demo --g 6
     latinlab experiment intercalate-mean --n 20 --samples 2000 --out results
+    latinlab experiment all --skip trp-trajectory boost-convergence --out results
     latinlab report results
 
 Counting verbs emit CSV rows ``input,metric,value`` to stdout
@@ -72,7 +73,13 @@ from .counting import (
     girth,
     intercalate_configuration,
 )
-from .experiments import check_lines, make_spec, report, run_experiment
+from .experiments import (
+    EXPERIMENTS,
+    check_lines,
+    make_spec,
+    report,
+    run_experiment,
+)
 from .extremal import ORACLE_CELL_CAP, phi_report
 from .fracdec import RegParams, TriangleSet, boost
 from .process import ProcessConfig, run_process
@@ -412,6 +419,20 @@ def _default_threads() -> int:
         return 1
 
 
+def _experiment_ids(args) -> list[str]:
+    """The experiments to run: the named one, or for ``all`` every
+    experiment in name order, narrowed by --only and --skip."""
+    if args.id != "all":
+        if args.only is not None or args.skip:
+            raise InputError("--only and --skip go with 'experiment all'")
+        return [args.id]
+    ids = args.only or sorted(EXPERIMENTS)
+    unknown = [i for i in ids + args.skip if i not in EXPERIMENTS]
+    if unknown:
+        raise InputError(f"unknown experiment ids: {', '.join(unknown)}")
+    return [i for i in ids if i not in args.skip]
+
+
 def _cmd_experiment(args) -> int:
     overrides = {
         key: getattr(args, key)
@@ -421,11 +442,20 @@ def _cmd_experiment(args) -> int:
     pts = _parse_checkpoints(args.checkpoints)
     if pts:
         overrides["checkpoints"] = tuple(pts)
-    spec = make_spec(args.id, out_dir=args.out,
-                     threads=args.threads or _default_threads(), **overrides)
-    summary = run_experiment(spec)
-    lines, all_ok = check_lines(summary)
-    print("\n".join(lines))
+    if args.id == "all" and set(overrides) - {"seed"}:
+        raise InputError("'experiment all' runs the default specs; "
+                         "only --seed may be set")
+    ids = _experiment_ids(args)
+    threads = args.threads or _default_threads()
+    all_ok = True
+    for ident in ids:
+        spec = make_spec(ident, out_dir=args.out, threads=threads, **overrides)
+        lines, ok = check_lines(run_experiment(spec))
+        print("\n".join(lines))
+        all_ok &= ok
+    if args.id == "all":
+        print(f"{'all checks passed' if all_ok else 'some checks failed'} "
+              f"({len(ids)} experiments, results in {args.out}/)")
     return 0 if all_ok else 1
 
 
@@ -543,8 +573,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--g", type=int, default=6)
     p_demo.set_defaults(fn=_cmd_absorb)
 
-    p_exp = sub.add_parser("experiment", help="run one named experiment")
-    p_exp.add_argument("id", help="experiment name")
+    p_exp = sub.add_parser("experiment",
+                           help="run one named experiment, or all of them")
+    p_exp.add_argument("id", help="experiment name, or 'all'")
+    p_exp.add_argument("--only", nargs="*", metavar="ID",
+                       help="with 'all': run only these experiments")
+    p_exp.add_argument("--skip", nargs="*", default=[], metavar="ID",
+                       help="with 'all': leave these experiments out")
     p_exp.add_argument("--n", type=int)
     p_exp.add_argument("--k", type=int)
     p_exp.add_argument("--g", type=int)

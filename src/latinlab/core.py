@@ -229,8 +229,8 @@ class TripleSystem:
     def cell_grid(self) -> np.ndarray:
         """n x n int matrix of symbols, -1 on empty cells."""
         g = np.full((self.n, self.n), -1, dtype=np.int32)
-        for r, c, s in self.triples:
-            g[r, c] = s
+        r, c, s = self.array.T
+        g[r, c] = s
         return g
 
 

@@ -1,9 +1,12 @@
 """Exact substructure counters.
 
-Intercalates (2 x 2 Latin subsquares) are counted through row-pair
-permutations: rows i and j induce the permutation sigma = pos_j o sym_i
-on columns, and each 2-cycle of sigma is exactly one intercalate on that
-row pair.  O(n^3) overall.
+Intercalates (2 x 2 Latin subsquares) are counted by one numpy kernel
+for squares, rectangles, partial systems and stacks of same-shape grids.
+A grid holds symbol n on empty cells and gets an always-empty pad column
+n; pos[row, symbol] is the column of the symbol in the row, n if absent.
+For rows i < j, sigma = pos[j][g[i]] sends each column to the column of
+row j holding the same symbol (n if none), and each 2-cycle of sigma is
+one intercalate on that row pair.  O(k^2 n) per grid.
 
 A cuboctahedron is an ordered pair of quadruples (r1, r2, c1, c2) and
 (r1', r2', c1', c2') whose 2 x 2 symbol patterns agree position by
@@ -46,6 +49,7 @@ of visited states is kept.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,52 +83,50 @@ DEGENERACY_LABELS = (
 
 
 def count_intercalates(obj) -> int:
-    """Number of 2 x 2 Latin subsquares (unordered)."""
+    """Number of 2 x 2 Latin subsquares (unordered) of a square,
+    rectangle or partial Latin square."""
+    return count_intercalates_each([obj])[0]
+
+
+def count_intercalates_each(objs) -> list[int]:
+    """count_intercalates of each of same-shape inputs, in one pass."""
+    grids = [_symbol_grid(obj) for obj in objs]
+    return _intercalates(np.stack(grids)).tolist() if grids else []
+
+
+def _symbol_grid(obj) -> np.ndarray:
+    """The k x n symbol grid of obj, symbol n on empty cells."""
     if isinstance(obj, (LatinSquare, LatinRectangle)):
-        return _intercalates_grid(obj.grid, obj.n)
+        return obj.grid
     if isinstance(obj, TripleSystem):
-        return _intercalates_triples(obj)
+        _require_latin(obj)
+        grid = obj.cell_grid()
+        return np.where(grid < 0, obj.n, grid)
     raise TypeError(f"cannot count intercalates of {type(obj).__name__}")
 
 
-def _intercalates_grid(grid: np.ndarray, n: int) -> int:
-    k = grid.shape[0]
-    g = grid.astype(np.intp)
-    ident = np.arange(n)
-    pos = np.empty((k, n), dtype=np.intp)
-    for i in range(k):
-        pos[i, g[i]] = ident
-    total = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            sigma = pos[j][g[i]]
-            two = (sigma != ident) & (sigma[sigma] == ident)
-            total += int(two.sum()) // 2
-    return total
-
-
-def _intercalates_triples(ts: TripleSystem) -> int:
-    _require_latin(ts)
-    by_cs = ts.by_cs
-    by_rc = ts.by_rc
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for r, c, s in ts.triples:
-        rows.setdefault(r, []).append((c, s))
-    total = 0
-    for r, cells in rows.items():
-        for ci in range(len(cells)):
-            x, a = cells[ci]
-            for cj in range(len(cells)):
-                if ci == cj:
-                    continue
-                y, b = cells[cj]
-                if x > y:
-                    continue
-                j = by_cs.get((x, b))
-                # completing cells must sit in a common later row
-                if j is not None and j > r and by_rc.get((j, y)) == a:
-                    total += 1
-    return total
+def _intercalates(grids: np.ndarray) -> np.ndarray:
+    """Intercalates of each grid of a (b, k, n) stack of symbol grids,
+    taking the (grid, row pair) items in blocks of about 2^16 entries."""
+    b, k, n = grids.shape
+    g = np.full((b, k, n + 1), n, dtype=np.intp)
+    g[..., :n] = grids
+    cols = np.arange(n + 1)
+    pos = np.full_like(g, n)
+    np.put_along_axis(pos, g, np.broadcast_to(cols, g.shape), axis=2)
+    pos[..., n] = n  # every empty cell wrote its column here
+    top, bottom = np.triu_indices(k, 1)
+    items = b * len(top)
+    out = np.zeros(b, dtype=np.int64)
+    step = max(1, 2**16 // (n + 1))
+    for start in range(0, items, step):
+        grid, pair = np.divmod(np.arange(start, min(start + step, items)),
+                               len(top))
+        sigma = np.take_along_axis(pos[grid, bottom[pair]],
+                                   g[grid, top[pair]], axis=1)
+        back = np.take_along_axis(sigma, sigma, axis=1)
+        np.add.at(out, grid, ((back == cols) & (sigma != cols)).sum(axis=1))
+    return out // 2
 
 
 # ---------------------------------------------------------------------------
@@ -139,18 +141,12 @@ def _require_latin(ts: TripleSystem) -> None:
 
 def _cells_of(obj) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     if isinstance(obj, (LatinSquare, LatinRectangle)):
-        k, n = obj.grid.shape
-        rr, cc = np.meshgrid(np.arange(k), np.arange(n), indexing="ij")
-        return (
-            rr.ravel().astype(np.int64),
-            cc.ravel().astype(np.int64),
-            obj.grid.ravel().astype(np.int64),
-            n,
-        )
-    if isinstance(obj, TripleSystem):
+        obj = to_triples(obj)
+    elif isinstance(obj, TripleSystem):
         _require_latin(obj)
-        return (*obj.array.T, obj.n)
-    raise TypeError(f"no cell view for {type(obj).__name__}")
+    else:
+        raise TypeError(f"no cell view for {type(obj).__name__}")
+    return (*obj.array.T, obj.n)
 
 
 def _pairs_in_groups(keys: np.ndarray, span: int = 1):
@@ -219,11 +215,14 @@ def _canonical_keys(q: np.ndarray, n: int) -> np.ndarray:
                       np.minimum(ba * n2 + dc, dc * n2 + ba))
 
 
-def _canonical(q: np.ndarray) -> np.ndarray:
-    """Distinct-symbol records turned to canonical orientation."""
-    q = np.where(np.minimum(q[_C], q[_D]) < np.minimum(q[_A], q[_B]),
-                 q[_ROW_SWAP], q)
-    return np.where(q[_B] < q[_A], q[_COL_SWAP], q)
+def _canonical(q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows and columns (r1, r2, c1, c2) of distinct-symbol records
+    turned to canonical orientation: rows swapped when the smallest
+    symbol is in r2, then columns when it is in c2."""
+    flip = np.minimum(q[_C], q[_D]) < np.minimum(q[_A], q[_B])
+    swap = np.where(flip, q[_D] < q[_C], q[_B] < q[_A])
+    return (np.where(flip, q[_R2], q[_R1]), np.where(flip, q[_R1], q[_R2]),
+            np.where(swap, q[_C2], q[_C1]), np.where(swap, q[_C1], q[_C2]))
 
 
 def _orientations(q: np.ndarray) -> np.ndarray:
@@ -338,14 +337,16 @@ def _distinct_class_sums(q: np.ndarray, n: int) -> tuple[int, int, int]:
     # singleton classes have no pair besides the diagonal
     multi = sizes[cls] > 1
     cls = cls[multi]
-    R1, R2, C1, C2 = _canonical(q[:, multi])[:4]
+    R1, R2, C1, C2 = _canonical(q[:, multi])
     m = len(cls)
     e_i, e_j = _partners(cls, R1, R2, n)
     f_i, f_j = _partners(cls, C1, C2, n)
-    sharing = np.unique(np.concatenate(
+    # counted on a sort, many times faster than a bare np.unique
+    sharing = np.sort(np.concatenate(
         (e_i * m + e_j, e_j * m + e_i, f_i * m + f_j, f_j * m + f_i)
     ))
-    return 4 * sum_m, 4 * sum_m2, 4 * (sum_m2 - sum_m - len(sharing))
+    shared = len(sharing) and 1 + int(np.count_nonzero(np.diff(sharing)))
+    return 4 * sum_m, 4 * sum_m2, 4 * (sum_m2 - sum_m - shared)
 
 
 def count_cuboctahedra_nondegenerate(obj) -> int:
@@ -355,12 +356,10 @@ def count_cuboctahedra_nondegenerate(obj) -> int:
     return _distinct_class_sums(q[:, _distinct_symbols(q)], cells[3])[2]
 
 
-def _overlap(x1, x2, P, Q) -> np.ndarray:
-    """|{x1[P], x2[P]} & {x1[Q], x2[Q]}| for pairs with x1 != x2."""
-    a1, a2, b1, b2 = x1[P], x2[P], x1[Q], x2[Q]
-    return (
-        (a1 == b1).astype(np.int8) + (a1 == b2) + (a2 == b1) + (a2 == b2)
-    )
+def _ordered_pairs(keys: np.ndarray) -> int:
+    """Ordered pairs of distinct records with equal keys."""
+    sq, lin = _group_square_sum(keys)
+    return sq - lin
 
 
 @dataclass
@@ -389,6 +388,13 @@ def cuboctahedron_report(obj) -> CuboctahedronReport:
     opposite-face overlaps (same repeated-symbol pattern sharing exactly
     one cell), proper distinct-symbol pairs sharing a row or column, and
     a residual class for the remaining repeated-symbol coincidences.
+
+    No pair is listed.  Two records of one pattern class sharing sr rows
+    and sc columns share sr * sc cells.  Summing g(g - 1) over the groups
+    of (class, cell), (class, row pair, column), (class, row, column
+    pair) and (class, row pair, column pair) weighs each ordered pair by
+    sr sc, [sr = 2] sc, sr [sc = 2] and [sr = 2][sc = 2]; the first,
+    minus twice the middle two, plus four times the last, is [sr = sc = 1].
     """
     cells = _cells_of(obj)
     n = cells[3]
@@ -401,20 +407,28 @@ def cuboctahedron_report(obj) -> CuboctahedronReport:
 
     q = _proper_quadruples(cells, col_pairs)
     distinct = _distinct_symbols(q)
-    sum_m, sum_m2, nondeg = _distinct_class_sums(q[:, distinct], n)
+    rep = _orientations(q[:, ~distinct])
+    R1, R2, C1, C2 = rep[:4]
+    row_pair = np.minimum(R1, R2) * n + np.maximum(R1, R2)
+    col_pair = np.minimum(C1, C2) * n + np.maximum(C1, C2)
+    _, cls = np.unique(_pattern_keys(rep, n), return_inverse=True)
+    # (class, row pair) and (class, column pair) as dense ranks
+    _, rp = np.unique(cls * n * n + row_pair, return_inverse=True)
+    _, cp = np.unique(cls * n * n + col_pair, return_inverse=True)
+    one_cell = (
+        _ordered_pairs(np.concatenate(
+            [(cls * n + r) * n + c for r in (R1, R2) for c in (C1, C2)]))
+        - 2 * _ordered_pairs(np.concatenate((rp * n + C1, rp * n + C2)))
+        - 2 * _ordered_pairs(np.concatenate((cp * n + R1, cp * n + R2)))
+        + 4 * _ordered_pairs(rp * n * n + col_pair))
+    out["same-2x2-repeated-symbol"] = rep.shape[1]
+    out["opposite-face-overlap"] = one_cell
+    out["repeated-symbol-other"] = _ordered_pairs(cls) - one_cell
+
+    q = q[:, distinct]  # frees the full record array before the peak step
+    sum_m, sum_m2, nondeg = _distinct_class_sums(q, n)
     out["same-2x2-distinct-symbols"] = sum_m
     out["row-or-column-sharing"] = sum_m2 - sum_m - nondeg
-
-    # repeated-symbol classes: the cells of a quadruple are {r1, r2} x
-    # {c1, c2}, so a pair shares (shared rows) x (shared columns) cells;
-    # each unordered pair (P, Q) stands for both of its orders
-    rep = _orientations(q[:, ~distinct])
-    P, Q = _pairs_in_groups(_pattern_keys(rep, n))
-    R1, R2, C1, C2 = rep[:4]
-    one_cell = (_overlap(R1, R2, P, Q) == 1) & (_overlap(C1, C2, P, Q) == 1)
-    out["same-2x2-repeated-symbol"] = rep.shape[1]
-    out["opposite-face-overlap"] = 2 * int(one_cell.sum())
-    out["repeated-symbol-other"] = 2 * len(P) - out["opposite-face-overlap"]
 
     total = nondeg + sum(out.values())
     return CuboctahedronReport(n=n, total=total, nondegenerate=nondeg, breakdown=out)
@@ -440,40 +454,29 @@ def count_subsquares(square: LatinSquare, k: int) -> int:
     if k == 2:
         return count_intercalates(square)
     g = square.grid.astype(np.intp)
-    ident = np.arange(n)
-    pos = np.empty((n, n), dtype=np.intp)
-    for i in range(n):
-        pos[i, g[i]] = ident
+    pos = np.argsort(g, axis=1)  # pos[row, symbol] = column
 
     def cycles_of(i: int, j: int):
-        sigma = pos[j][g[i]]
-        seen = np.zeros(n, dtype=bool)
-        out = []
+        sigma = pos[j][g[i]].tolist()
+        seen, out = set(), []
         for x in range(n):
-            if seen[x]:
-                continue
-            cyc = [x]
-            seen[x] = True
-            y = int(sigma[x])
-            while y != x:
+            cyc, y = [], x
+            while y not in seen:
+                seen.add(y)
                 cyc.append(y)
-                seen[y] = True
-                y = int(sigma[y])
-            out.append(cyc)
+                y = sigma[y]
+            if cyc:
+                out.append(cyc)
         return out
 
     total = 0
     for i in range(n):
         for j in range(i + 1, n):
-            cycles = [c for c in cycles_of(i, j)]
-            if k == 3:
-                candidates = [c for c in cycles if len(c) == 3]
-            else:
+            cycles = cycles_of(i, j)
+            candidates = [c for c in cycles if len(c) == k]
+            if k == 4:
                 twos = [c for c in cycles if len(c) == 2]
-                candidates = [c for c in cycles if len(c) == 4]
-                for t1 in range(len(twos)):
-                    for t2 in range(t1 + 1, len(twos)):
-                        candidates.append(twos[t1] + twos[t2])
+                candidates += [a + b for a, b in itertools.combinations(twos, 2)]
             for cols in candidates:
                 colarr = np.array(cols)
                 symbols = g[i][colarr]
@@ -641,11 +644,7 @@ def count_configuration(config: ColoredTripleSystem, host) -> int:
     used: list[set[int]] = [set(), set(), set()]
     edges = list(config.edges)
 
-    in_some_edge = [set(), set(), set()]
-    for i, j, k in edges:
-        in_some_edge[0].add(i)
-        in_some_edge[1].add(j)
-        in_some_edge[2].add(k)
+    in_some_edge = [{e[cls] for e in edges} for cls in range(3)]
 
     def candidates(edge):
         i, j, k = edge
@@ -671,12 +670,7 @@ def count_configuration(config: ColoredTripleSystem, host) -> int:
         return triples
 
     def known_count(edge):
-        i, j, k = edge
-        return (
-            (assign[0][i] is not None)
-            + (assign[1][j] is not None)
-            + (assign[2][k] is not None)
-        )
+        return sum(assign[cls][v] is not None for cls, v in enumerate(edge))
 
     def extend(remaining):
         if not remaining:

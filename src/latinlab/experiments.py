@@ -34,6 +34,7 @@ from .counting import (
     count_cuboctahedra_nondegenerate,
     count_cuboctahedra_total,
     count_intercalates,
+    count_intercalates_each,
 )
 from .extremal import max_intercalates_oracle, phi_report
 from .fracdec import RegParams, boost, conforming_instance
@@ -160,8 +161,7 @@ def _exp_rectangle_poisson(spec: ExperimentSpec):
 
     def one(c: int) -> list[int]:
         rng = substream(spec.seed, 23, c)
-        return [count_intercalates(rect)
-                for rect in sample_rectangles(k, n, counts[c], rng)]
+        return count_intercalates_each(sample_rectangles(k, n, counts[c], rng))
 
     per_chunk = _pool_map(one, range(chunks), spec.threads)
     rows = [(c, d, v)

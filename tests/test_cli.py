@@ -242,6 +242,34 @@ def test_experiment_runs_and_reports(capsys, tmp_path):
     assert all(line.startswith("PASS") for line in out.splitlines())
 
 
+def test_experiment_all_runs_the_selected_experiments(capsys, tmp_path):
+    code, out, _ = run(capsys, "experiment", "all", "--only", "phi-table",
+                       "absorber-demo", "--seed", "0", "--out", str(tmp_path))
+    assert code == 0
+    assert "all checks passed (2 experiments" in out
+    for name in ("phi-table", "absorber-demo"):
+        summary = json.loads((tmp_path / f"{name}.json").read_text())
+        assert summary["experiment"] == name
+        assert (tmp_path / f"{name}.csv").exists()
+    assert sorted(os.listdir(tmp_path)) == [
+        "absorber-demo.csv", "absorber-demo.json",
+        "phi-table.csv", "phi-table.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--only", "phi-table", "not-a-thing"],
+    ["--skip", "not-a-thing"],
+    ["--n", "5"],
+])
+def test_experiment_all_rejects_unknown_ids_and_overrides(capsys, tmp_path,
+                                                          argv):
+    code, _, err = run(capsys, "experiment", "all", *argv,
+                       "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert not os.listdir(tmp_path)
+
+
 def test_experiment_reruns_are_byte_identical(capsys, tmp_path):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     for d in (d1, d2):

@@ -1,5 +1,6 @@
 """Fast counters against the brute-force oracles."""
 
+import inspect
 import itertools
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latinlab import counting
 from latinlab.core import (
     InputError,
     LatinSquare,
@@ -24,6 +26,7 @@ from latinlab.counting import (
     count_cuboctahedra_nondegenerate,
     count_cuboctahedra_total,
     count_intercalates,
+    count_intercalates_each,
     count_subsquares,
     cuboctahedron_configuration,
     cuboctahedron_report,
@@ -72,6 +75,39 @@ def test_intercalates_on_rectangles_match_brute():
     for n, k in ((6, 3), (7, 2), (8, 5)):
         rect = restrict_rows(sample_squares(n, 1, rng)[0], k)
         assert count_intercalates(rect) == brute_intercalates(rect)
+    systems = [TripleSystem(5, []),
+               # rows 1 and 3 empty, an intercalate on rows 0 and 2
+               TripleSystem(4, [(0, 0, 0), (0, 1, 1), (2, 0, 1), (2, 1, 0),
+                                (2, 3, 3)])]
+    for trial in range(40):
+        n = 2 + trial % 8
+        full = to_triples(sample_squares(n, 1, rng)[0])
+        m = rng.randrange(len(full) + 1)
+        systems.append(TripleSystem(n, rng.shuffled(list(full.triples))[:m]))
+    for n in (12, 16, 20):
+        systems.append(collision_filter(sample_sparse_system(n, 0.35, rng)))
+    for ts in systems:
+        got = count_intercalates(ts)
+        assert type(got) is int
+        assert got == brute_intercalates(ts), ts
+    assert count_intercalates(systems[1]) == 1
+
+
+def test_intercalates_each_matches_single_counts():
+    rng = RandomStream(7)
+    squares = sample_squares(6, 5, rng)
+    for k in range(1, 7):
+        stack = [restrict_rows(sq, k) for sq in squares]
+        got = count_intercalates_each(stack)
+        assert got == [count_intercalates(rect) for rect in stack]
+        assert all(type(v) is int for v in got)
+    assert count_intercalates_each(squares) == [
+        brute_intercalates(sq) for sq in squares]
+    assert count_intercalates_each([]) == []
+
+
+_GROUP_TABLES = [group_table("cyclic", m) for m in (4, 5, 6)] + [
+    group_table("elementary-abelian-2", 2)]
 
 
 def _assert_report_matches_brute(obj):
@@ -93,6 +129,9 @@ def test_report_matches_brute_per_class():
     for n in (4, 5, 6):
         for sq in sample_squares(n, 2, rng):
             _assert_report_matches_brute(sq)
+    # group tables: many repeated-symbol pairs sharing one cell
+    for sq in _GROUP_TABLES:
+        _assert_report_matches_brute(sq)
     # collision-filtered sparse systems, the shape counted by gstar
     for n in (12, 16, 20, 24):
         for _ in range(2):
@@ -104,6 +143,20 @@ def test_report_matches_brute_per_class():
     # singleton and no repeated-symbol class exists
     _assert_report_matches_brute(
         TripleSystem(4, [(0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 3)]))
+
+
+def test_report_oracle_catches_a_dropped_term():
+    # the opposite-face count without its +4 (class, row pair, column
+    # pair) term, planted in a copy of the report
+    source = inspect.getsource(counting.cuboctahedron_report)
+    term = "+ 4 * _ordered_pairs(rp * n * n + col_pair)"
+    assert term in source
+    namespace = dict(vars(counting))
+    exec(source.replace(term, ""), namespace)
+    mutant = namespace["cuboctahedron_report"]
+    label = "opposite-face-overlap"
+    assert any(mutant(sq).breakdown[label] != brute_report(sq)[label]
+               for sq in _GROUP_TABLES)
 
 
 def test_report_partitions_total():
