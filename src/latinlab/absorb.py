@@ -302,6 +302,12 @@ def verify_cycle_partition(edges: set[EdgeKey],
     return seen == edges
 
 
+# largest path multiplicity tried when none is given
+MU_CAP = 64
+# random walks tried before random_divisible_graph returns what it has
+WALK_TRIES = 200
+
+
 @dataclass
 class ShortCycleCover:
     cycles: list[list[Vertex]]
@@ -311,15 +317,14 @@ class ShortCycleCover:
 
 def cover_with_short_cycles(l_graph: TripartiteGraph,
                             x_sizes: tuple[int, int, int],
-                            mu: int | None = None,
-                            mu_cap: int = 64) -> ShortCycleCover:
+                            mu: int | None = None) -> ShortCycleCover:
     """Lemma machinery end to end: decompose a triangle-divisible L on
     X into tripartite cycles, shorten them through a fresh path cover,
     and pair the unused paths; the result partitions E(L u wedge-X)
     into tripartite cycles of length <= 9.  When mu is not given, even
     multiplicities are tried in increasing order and the smallest
     workable one wins."""
-    tries = [mu] if mu is not None else list(range(2, mu_cap + 1, 2))
+    tries = [mu] if mu is not None else list(range(2, MU_CAP + 1, 2))
     last_err: Exception | None = None
     for m in tries:
         cover = PathCover(x_sizes, m)
@@ -340,13 +345,12 @@ def cover_with_short_cycles(l_graph: TripartiteGraph,
 
 
 def random_divisible_graph(x_sizes: tuple[int, int, int], target_cycles: int,
-                           rng: RandomStream,
-                           tries: int = 200) -> TripartiteGraph:
+                           rng: RandomStream) -> TripartiteGraph:
     """An edge-disjoint union of random tripartite cycles on X: random
     forward walks over unused pairs, cut at first self-collision."""
     used: set[EdgeKey] = set()
     got = 0
-    for _ in range(tries):
+    for _ in range(WALK_TRIES):
         if got >= target_cycles:
             break
         part = rng.randrange(3)

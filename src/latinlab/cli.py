@@ -186,10 +186,9 @@ def _cmd_count(args) -> int:
     for path in args.files:
         for label, obj in _load_objects(path):
             if args.object == "intercalates":
-                rows.append((label, "intercalates",
-                             count_intercalates(_as_square(label, obj))))
+                rows.append((label, "intercalates", count_intercalates(obj)))
             elif args.object == "cuboctahedra":
-                rep = cuboctahedron_report(_as_square(label, obj))
+                rep = cuboctahedron_report(obj)
                 rows.append((label, "cuboctahedra_total", rep.total))
                 rows.append((label, "cuboctahedra_nondegenerate",
                              rep.nondegenerate))
@@ -411,14 +410,6 @@ def _cmd_absorb(args) -> int:
 # experiment / report
 
 
-def _default_threads() -> int:
-    env = os.environ.get("LATINLAB_THREADS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def _experiment_ids(args) -> list[str]:
     """The experiments to run: the named one, or for ``all`` every
     experiment in name order, narrowed by --only and --skip."""
@@ -436,7 +427,7 @@ def _experiment_ids(args) -> list[str]:
 def _cmd_experiment(args) -> int:
     overrides = {
         key: getattr(args, key)
-        for key in ("n", "k", "g", "p", "q", "alpha", "samples", "seed")
+        for key in ("n", "k", "g", "alpha", "samples", "seed")
         if getattr(args, key) is not None
     }
     pts = _parse_checkpoints(args.checkpoints)
@@ -446,10 +437,10 @@ def _cmd_experiment(args) -> int:
         raise InputError("'experiment all' runs the default specs; "
                          "only --seed may be set")
     ids = _experiment_ids(args)
-    threads = args.threads or _default_threads()
     all_ok = True
     for ident in ids:
-        spec = make_spec(ident, out_dir=args.out, threads=threads, **overrides)
+        spec = make_spec(ident, out_dir=args.out, threads=args.threads,
+                         **overrides)
         lines, ok = check_lines(run_experiment(spec))
         print("\n".join(lines))
         all_ok &= ok
@@ -583,16 +574,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--n", type=int)
     p_exp.add_argument("--k", type=int)
     p_exp.add_argument("--g", type=int)
-    p_exp.add_argument("--p", type=float)
-    p_exp.add_argument("--q", type=float)
     p_exp.add_argument("--alpha", type=float)
     p_exp.add_argument("--samples", type=int)
     p_exp.add_argument("--seed", type=int)
     p_exp.add_argument("--checkpoints")
     p_exp.add_argument("--out", default=".",
                        help="result directory")
-    p_exp.add_argument("--threads", type=int,
-                       help="worker threads (default $LATINLAB_THREADS or 1)")
+    p_exp.add_argument("--threads", type=int, default=1,
+                       help="worker threads (default 1)")
     p_exp.set_defaults(fn=_cmd_experiment)
 
     p_report = sub.add_parser("report",

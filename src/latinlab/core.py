@@ -273,22 +273,11 @@ class TripartiteGraph:
         object.__setattr__(g, "adj31", a31)
         return g
 
-    @classmethod
-    def complete(cls, n: int) -> "TripartiteGraph":
-        one = np.ones((n, n), dtype=bool)
-        return cls.from_adjacency(one, one.copy(), one.copy())
-
     def __setattr__(self, *a):
         raise AttributeError("TripartiteGraph is immutable")
 
     def edge_count(self) -> int:
         return int(self.adj12.sum() + self.adj23.sum() + self.adj31.sum())
-
-    def edges(self):
-        """Iterate (pair_index, u, v) over all edges; pair_index in {0,1,2}."""
-        for idx, adj in ((0, self.adj12), (1, self.adj23), (2, self.adj31)):
-            for u, v in zip(*np.nonzero(adj)):
-                yield idx, int(u), int(v)
 
     def __eq__(self, other):
         return (

@@ -58,8 +58,6 @@ class ExperimentSpec:
     n: int | None = None
     k: int | None = None
     g: int | None = None
-    p: float | None = None
-    q: float | None = None
     alpha: float | None = None
     samples: int | None = None
     seed: int = 0
@@ -92,25 +90,36 @@ class Check:
         }
 
 
+# the spec fields each experiment reads, with their defaults; seed,
+# threads and out_dir are read by every experiment
 _DEFAULTS: dict[str, dict] = {
     "intercalate-mean": {"n": 20, "samples": 2000},
     "rectangle-poisson": {"n": 100, "k": 3, "samples": 5000},
     "cuboctahedra-scan": {"samples": 200},
-    "trp-trajectory": {"n": 100},
+    "trp-trajectory": {"n": 100, "checkpoints": ()},
     "highgirth-coverage": {"n": 100, "g": 6},
     "gstar-cuboctahedra": {"n": 150, "alpha": 0.2, "samples": 500},
     "phi-table": {"n": 12},
-    "boost-convergence": {"n": 30, "q": 0.9},
+    "boost-convergence": {"n": 30},
     "absorber-demo": {"g": 6, "samples": 20},
 }
 
 
 def make_spec(experiment: str, **overrides) -> ExperimentSpec:
-    """Spec with per-experiment defaults; None overrides are ignored."""
+    """Spec with per-experiment defaults; None overrides are ignored.
+
+    An override the experiment does not read, or fewer than one
+    thread, raises InputError."""
     if experiment not in _DEFAULTS:
         raise InputError(f"unknown experiment {experiment!r}")
     params = dict(_DEFAULTS[experiment])
-    params.update({k: v for k, v in overrides.items() if v is not None})
+    given = {k: v for k, v in overrides.items() if v is not None}
+    unread = sorted(set(given) - set(params) - {"seed", "threads", "out_dir"})
+    if unread:
+        raise InputError(f"{experiment} does not take {', '.join(unread)}")
+    if given.get("threads", 1) < 1:
+        raise InputError(f"threads must be at least 1, got {given['threads']}")
+    params.update(given)
     return ExperimentSpec(experiment=experiment, **params)
 
 

@@ -17,20 +17,17 @@ every psi_{J,e} has identically zero vertex weights, so the adjustment
 map A(phi) = phi - sum_e phi^disc(e) psi_e preserves vertex balance
 exactly while cancelling edge discrepancies to first order.
 
-Cycle enumeration is exact by default: the 6-cycles through e = (a1, b1)
-are in bijection with ordered tuples (a2, b2, a3, b3) of distinct
-vertices avoiding a1, b1, giving (n-1)^2 (n-2)^2 cycles per edge in the
-complete case.  For speed a uniform sample of cycles may be used
-instead; the estimator averages psi_{J,e} over valid sampled cycles and
-keeps zero vertex weights exactly, only the off-e edge weights become
-noisy.  Apex sets are intersected through 64-bit masks, so hosts are
+Cycle enumeration is exact: the 6-cycles through e = (a1, b1) are in
+bijection with ordered tuples (a2, b2, a3, b3) of distinct vertices
+avoiding a1, b1, giving (n-1)^2 (n-2)^2 cycles per edge in the complete
+case.  Apex sets are intersected through 64-bit masks, so hosts are
 capped at part size 64, which covers the desk regime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +35,12 @@ from .core import InputError, TripartiteGraph
 from .rng import RandomStream
 
 MASK_CAP = 64
+# cycle rows held at once by the psi accumulation, which keeps memory flat
+ROWS_CAP = 2_000_000
+# relative tolerance of the vertex-balance precondition of adjust
+BALANCE_REL = 1e-9
+# random vertex and edge sets drawn per size in conditions (2) and (3)
+SAMPLE_BUDGET = 300
 
 # edge kinds: (part of i, part of j, apex part), matching the host's
 # adjacency matrices adj12, adj23, adj31
@@ -321,55 +324,27 @@ def psi_cycle(tset: TriangleSet, kind: int, e: tuple[int, int],
 
 def _accumulate_psi(tset: TriangleSet, kind: int,
                     ii: np.ndarray, jj: np.ndarray, coefs: np.ndarray,
-                    out: np.ndarray, samples: int | None,
-                    rng: RandomStream | None, rows_cap: int = 2_000_000):
+                    out: np.ndarray):
     """Add sum_e coefs[e] * psi_e over the given kind-k edges into out.
 
-    Exact mode (samples None) enumerates all (n-1)^2 (n-2)^2 cycle
-    tuples per edge; sampled mode draws ``samples`` uniform tuples and
-    averages over the valid ones.  Either way the vertex weights of the
-    added function are exactly zero.
+    Enumerates all (n-1)^2 (n-2)^2 cycle tuples per edge; the vertex
+    weights of the added function are exactly zero.
     """
     n = tset.n
     one = np.uint64(1)
     am = tset.apex_masks[kind]
     adjk = tset.adj(kind)
-    if samples is None:
-        ca2, ca3, cb2, cb3 = tset._canonical_cycle_tuples()
-        per_edge = len(ca2)
-        chunk = max(1, rows_cap // max(per_edge, 1))
-    else:
-        if rng is None:
-            raise ValueError("sampled psi needs an rng")
-        per_edge = samples
-        chunk = max(1, rows_cap // max(per_edge, 1))
+    ca2, ca3, cb2, cb3 = tset._canonical_cycle_tuples()
+    chunk = max(1, ROWS_CAP // max(len(ca2), 1))
 
     for lo in range(0, len(ii), chunk):
         i = ii[lo:lo + chunk][:, None]
         j = jj[lo:lo + chunk][:, None]
         c = coefs[lo:lo + chunk]
-        if samples is None:
-            a2 = ca2[None, :] + (ca2[None, :] >= i)
-            a3 = ca3[None, :] + (ca3[None, :] >= i)
-            b2 = cb2[None, :] + (cb2[None, :] >= j)
-            b3 = cb3[None, :] + (cb3[None, :] >= j)
-        else:
-            gen = rng.generator
-            shape = (len(c), per_edge)
-            a2 = gen.integers(0, n - 1, shape)
-            a2 += a2 >= i
-            b2 = gen.integers(0, n - 1, shape)
-            b2 += b2 >= j
-            a3 = gen.integers(0, n - 2, shape)
-            lo_a = np.minimum(i, a2)
-            hi_a = np.maximum(i, a2)
-            a3 += a3 >= lo_a
-            a3 += a3 >= hi_a
-            b3 = gen.integers(0, n - 2, shape)
-            lo_b = np.minimum(j, b2)
-            hi_b = np.maximum(j, b2)
-            b3 += b3 >= lo_b
-            b3 += b3 >= hi_b
+        a2 = ca2[None, :] + (ca2[None, :] >= i)
+        a3 = ca3[None, :] + (ca3[None, :] >= i)
+        b2 = cb2[None, :] + (cb2[None, :] >= j)
+        b3 = cb3[None, :] + (cb3[None, :] >= j)
         ii_b = np.broadcast_to(i, a2.shape)
         jj_b = np.broadcast_to(j, a2.shape)
         valid = (adjk[a2, jj_b] & adjk[a2, b2] & adjk[a3, b2]
@@ -397,27 +372,23 @@ def _accumulate_psi(tset: TriangleSet, kind: int,
                 np.add.at(out, tset.id3[v1, v2, v3], sg * base[sel])
 
 
-def psi_e(tset: TriangleSet, kind: int, i: int, j: int,
-          samples: int | None = None,
-          rng: RandomStream | None = None) -> WeightFunction:
+def psi_e(tset: TriangleSet, kind: int, i: int, j: int) -> WeightFunction:
     """psi_e: the average of psi_{J,e} over 6-cycles J through the
     kind-k edge (i, j).  Zero vertex weights exactly, and edge weight 1
-    at e itself even under sampling."""
+    at e itself."""
     if not tset.adj(kind)[i, j]:
         raise ValueError("edge not in host")
     out = np.zeros(len(tset))
     _accumulate_psi(tset, kind,
                     np.asarray([i]), np.asarray([j]), np.asarray([1.0]),
-                    out, samples, rng)
+                    out)
     return WeightFunction(tset, out)
 
 
-def adjust(wf: WeightFunction, samples: int | None = None,
-           rng: RandomStream | None = None,
-           balance_rel: float = 1e-9) -> WeightFunction:
+def adjust(wf: WeightFunction) -> WeightFunction:
     """One step of the adjustment map
     A(phi) = phi - sum_e phi^disc(e) psi_e."""
-    if not wf.is_vertex_balanced(balance_rel):
+    if not wf.is_vertex_balanced(BALANCE_REL):
         raise ValueError("adjust requires a vertex-balanced input")
     tset = wf.tset
     corr = np.zeros(len(tset))
@@ -426,8 +397,7 @@ def adjust(wf: WeightFunction, samples: int | None = None,
         d = wf.disc(kind)
         ii, jj = np.nonzero(np.abs(d) > eps)
         if len(ii):
-            _accumulate_psi(tset, kind, ii, jj, d[ii, jj], corr,
-                            samples, rng)
+            _accumulate_psi(tset, kind, ii, jj, d[ii, jj], corr)
     return WeightFunction(tset, wf.values - corr)
 
 
@@ -458,11 +428,6 @@ class ConditionReport:
     def ok(self) -> bool:
         return not any(self.violation_counts.values())
 
-    def fraction(self, condition: int) -> float:
-        if not self.checked.get(condition):
-            return 0.0
-        return self.violation_counts[condition] / self.checked[condition]
-
     def _add(self, v: Violation) -> None:
         self.violation_counts[v.condition] += 1
         if len(self.sample) < self.MAX_STORED:
@@ -471,25 +436,25 @@ class ConditionReport:
 
 @dataclass
 class RegParams:
-    """Parameters of the boosting lemma; xi defaults to C^-8."""
+    """Parameters of the boosting lemma."""
 
     p: float
     q: float
     C: float = 4.0
-    xi: float | None = None
     iters: int | None = None
-    report: ConditionReport | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.p <= 1.0 and 0.0 < self.q <= 1.0):
             raise InputError("need p, q in (0, 1]")
-        if self.xi is None:
-            self.xi = self.C ** -8.0
+
+    @property
+    def xi(self) -> float:
+        """The typicality tolerance, C^-8."""
+        return self.C ** -8.0
 
 
 def check_conditions(tset: TriangleSet, params: RegParams,
-                     rng: RandomStream | None = None,
-                     sample_budget: int = 300) -> ConditionReport:
+                     rng: RandomStream | None = None) -> ConditionReport:
     """The four quasirandomness conditions behind the boosting step.
 
     (1) every host edge in (1 +- xi) p^2 q n triangles; (2) common
@@ -542,7 +507,7 @@ def check_conditions(tset: TriangleSet, params: RegParams,
         for size in range(3, 7):
             picked = [[verts[t] for t in gen.choice(2 * n, size,
                                                     replace=False)]
-                      for _ in range(sample_budget)]
+                      for _ in range(SAMPLE_BUDGET)]
             pools.append(picked)
         for pool in pools:
             for members in pool:
@@ -566,7 +531,7 @@ def check_conditions(tset: TriangleSet, params: RegParams,
                 break
             picked = [[edge_pool[t] for t in gen.choice(len(edge_pool), size,
                                                         replace=False)]
-                      for _ in range(sample_budget)]
+                      for _ in range(SAMPLE_BUDGET)]
             groups.append(picked)
         for pool in groups:
             for edges in pool:
@@ -632,7 +597,6 @@ class BoostResult:
 
 
 def boost(tset: TriangleSet, params: RegParams, rng: RandomStream,
-          psi_samples: int | None = None,
           force: bool = False) -> BoostResult:
     """Iterate the adjustment map, normalize, and round.
 
@@ -644,8 +608,7 @@ def boost(tset: TriangleSet, params: RegParams, rng: RandomStream,
     """
     n = tset.n
     if not force:
-        rep = params.report or check_conditions(tset, params, rng)
-        params.report = rep
+        rep = check_conditions(tset, params, rng)
         if not rep.ok:
             raise InputError(
                 "conditions fail "
@@ -657,7 +620,7 @@ def boost(tset: TriangleSet, params: RegParams, rng: RandomStream,
     trace = [TraceRow(0, wf.max_disc(), wf.vertex_residual())]
     grew = 0
     for it in range(1, k + 1):
-        wf = adjust(wf, psi_samples, rng)
+        wf = adjust(wf)
         d = wf.max_disc()
         prev = trace[-1].max_disc
         grew = grew + 1 if d > prev * (1 + 1e-9) + 1e-12 else 0

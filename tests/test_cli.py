@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from latinlab.cli import main
+from latinlab.cli import build_parser, main
 from latinlab.core import (
     group_table,
     parse_grid,
@@ -13,7 +13,8 @@ from latinlab.core import (
     serialize_square,
     serialize_tripartite,
 )
-from latinlab.counting import count_intercalates
+from latinlab.counting import count_intercalates, cuboctahedron_report
+from latinlab.experiments import _DEFAULTS
 from latinlab.fracdec import conforming_instance
 
 
@@ -67,6 +68,36 @@ def test_count_cuboctahedra_partitions(capsys, xor_square):
     assert vals["cuboctahedra_total"] == 4**5
     assert vals["cuboctahedra_total"] == (
         vals["cuboctahedra_nondegenerate"] + vals["cuboctahedra_degenerate"])
+
+
+@pytest.mark.parametrize("text", [
+    "2 4\n0 1 2 3\n1 0 3 2\n",
+    "4\n0 1 . 3\n1 0 3 .\n. 3 0 1\n3 . 1 0\n",
+], ids=["rectangle", "partial"])
+def test_count_takes_rectangles_and_partial_grids(capsys, tmp_path, text):
+    path = tmp_path / "grid.txt"
+    path.write_text(text)
+    obj = parse_grid(text)
+    rep = cuboctahedron_report(obj)
+    code, out, _ = run(capsys, "count", "intercalates", str(path))
+    assert code == 0
+    assert out.splitlines()[1] == (
+        f"{path},intercalates,{count_intercalates(obj)}")
+    code, out, _ = run(capsys, "count", "cuboctahedra", str(path))
+    assert code == 0
+    vals = {m: int(v) for _, m, v in
+            (line.split(",") for line in out.splitlines()[1:])}
+    assert vals["cuboctahedra_total"] == rep.total
+    assert vals["cuboctahedra_nondegenerate"] == rep.nondegenerate
+    assert vals["cuboctahedra_degenerate"] == rep.degenerate_total()
+
+
+def test_count_subsquares_still_needs_a_square(capsys, tmp_path):
+    path = tmp_path / "rect.txt"
+    path.write_text("2 4\n0 1 2 3\n1 0 3 2\n")
+    code, _, err = run(capsys, "count", "subsquares", str(path))
+    assert code == 2
+    assert "need a complete Latin square" in err
 
 
 def test_count_girth_labels_capped_values(capsys, tmp_path):
@@ -271,20 +302,55 @@ def test_experiment_all_rejects_unknown_ids_and_overrides(capsys, tmp_path,
 
 
 def test_experiment_reruns_are_byte_identical(capsys, tmp_path):
-    d1, d2 = tmp_path / "one", tmp_path / "two"
-    for d in (d1, d2):
-        code, _, _ = run(capsys, "experiment", "phi-table", "--n", "3",
-                         "--out", str(d))
-        assert code == 0
-    for name in ("phi-table.json", "phi-table.csv"):
-        left = (d1 / name).read_bytes()
-        right = (d2 / name).read_bytes()
-        # the JSON echoes its spec including out_dir, so compare csv
-        # bytes strictly and json up to the differing directory names
-        if name.endswith(".csv"):
-            assert left == right
-        else:
-            assert left.replace(b"one", b"") == right.replace(b"two", b"")
+    # a rerun, and a pooled experiment at two worker counts
+    for argv, threads in (
+            (["phi-table", "--n", "3"], ("1", "1")),
+            (["rectangle-poisson", "--n", "12", "--k", "2",
+              "--samples", "64"], ("1", "2"))):
+        name = argv[0]
+        outputs = []
+        for t in threads:
+            out = tmp_path / f"{name}-{len(outputs)}"
+            code, _, err = run(capsys, "experiment", *argv, "--threads", t,
+                               "--out", str(out))
+            # 64 draws may miss a band; only the bytes matter here
+            assert code in (0, 1) and "internal error" not in err
+            csv_bytes = (out / f"{name}.csv").read_bytes()
+            # the JSON echoes the worker count and out_dir; blank both
+            summary = json.loads((out / f"{name}.json").read_text())
+            assert summary["spec"]["threads"] == int(t)
+            summary["spec"]["threads"] = summary["spec"]["out_dir"] = None
+            outputs.append((csv_bytes, summary))
+        assert outputs[0] == outputs[1], name
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["phi-table", "--n", "3", "--samples", "5"], "samples"),
+    (["intercalate-mean", "--checkpoints", "4"], "checkpoints"),
+    (["boost-convergence", "--k", "2", "--g", "6"], "g, k"),
+])
+def test_experiment_rejects_overrides_it_does_not_read(capsys, tmp_path,
+                                                        argv, unread):
+    code, _, err = run(capsys, "experiment", *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert f"does not take {unread}" in err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("flag", ["--p", "--q"])
+def test_experiment_has_no_p_or_q(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "boost-convergence", flag, "0.5"])
+    assert exc.value.code == 2
+
+
+def test_every_experiment_override_flag_is_read_somewhere():
+    args = build_parser().parse_args(["experiment", "phi-table"])
+    not_overrides = {"verb", "fn", "id", "only", "skip", "seed", "out",
+                     "threads"}
+    flags = set(vars(args)) - not_overrides
+    read = set().union(*(d.keys() for d in _DEFAULTS.values()))
+    assert "n" in flags and flags <= read
 
 
 def test_report_empty_directory_is_an_error(capsys, tmp_path):
@@ -355,7 +421,11 @@ def test_bad_parameters_are_input_errors(capsys, tmp_path):
                  ["process", "run", "--n", "5", "--g", "4"],
                  ["phi", "--N", "0"],
                  ["experiment", "gstar-cuboctahedra", "--alpha", "500",
-                  "--samples", "1", "--out", str(tmp_path)]):
+                  "--samples", "1", "--out", str(tmp_path)],
+                 ["experiment", "phi-table", "--n", "3", "--threads", "0",
+                  "--out", str(tmp_path)],
+                 ["experiment", "phi-table", "--n", "3", "--threads", "-4",
+                  "--out", str(tmp_path)]):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv

@@ -91,13 +91,6 @@ def test_psi_e_exact_unit_edge_weight():
     assert wf.edge[1][2, 5] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_psi_e_sampled_keeps_exact_guarantees():
-    tset = small_conforming()
-    wf = psi_e(tset, 2, 0, 3, samples=8, rng=RandomStream(9))
-    assert np.abs(wf.vertex).max() < 1e-9
-    assert wf.edge[2][0, 3] == pytest.approx(1.0, abs=1e-9)
-
-
 def test_weight_function_verify_catches_tampering():
     tset = small_conforming()
     wf = phi0(tset)
