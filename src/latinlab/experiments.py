@@ -105,11 +105,20 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
+# the least value of each integer setting; the library checks the rest
+# (k <= n, alpha / n a probability, the supported girths).  The
+# intercalate standard error needs two draws, and the boosting instance
+# removes three Latin layers from K_{n,n,n}.
+_LEAST = {"n": 1, "k": 1, "samples": 1, "seed": 0, "threads": 1}
+_LEAST_FOR = {("intercalate-mean", "samples"): 2,
+              ("boost-convergence", "n"): 4}
+
+
 def make_spec(experiment: str, **overrides) -> ExperimentSpec:
     """Spec with per-experiment defaults; None overrides are ignored.
 
-    An override the experiment does not read, or fewer than one
-    thread, raises InputError."""
+    An override the experiment does not read, or an integer setting
+    below its least value (``_LEAST``), raises InputError."""
     if experiment not in _DEFAULTS:
         raise InputError(f"unknown experiment {experiment!r}")
     params = dict(_DEFAULTS[experiment])
@@ -117,8 +126,11 @@ def make_spec(experiment: str, **overrides) -> ExperimentSpec:
     unread = sorted(set(given) - set(params) - {"seed", "threads", "out_dir"})
     if unread:
         raise InputError(f"{experiment} does not take {', '.join(unread)}")
-    if given.get("threads", 1) < 1:
-        raise InputError(f"threads must be at least 1, got {given['threads']}")
+    for key, value in given.items():
+        least = _LEAST_FOR.get((experiment, key), _LEAST.get(key))
+        if least is not None and value < least:
+            raise InputError(f"{experiment} needs {key} >= {least}, "
+                             f"got {value}")
     params.update(given)
     return ExperimentSpec(experiment=experiment, **params)
 

@@ -4,8 +4,12 @@ All draws come from Philox, a counter-based 64-bit generator, so a run is
 reproducible across platforms and across worker counts.  Seeds fan out to
 independent streams by entropy composition: the stream for child ``path``
 of master seed ``s`` is built from ``numpy.random.SeedSequence((s, *path))``.
-Scalar draws are served from pre-generated blocks because per-call
-``Generator`` overhead dominates tight Markov-chain loops.
+Scalar draws are served from pre-generated blocks of 62-bit words
+because per-call ``Generator`` overhead dominates tight Markov-chain
+loops.  ``randrange`` takes one word per call; the Jacobson-Matthews
+kernel in ``sampling`` reads the block in place (``block``, then
+``seek`` to where it stopped), one word per move, so both see the same
+word sequence and no word is used twice.
 """
 
 from __future__ import annotations
@@ -37,6 +41,18 @@ class RandomStream:
             0, 1 << 62, size=self.BLOCK, dtype=np.int64
         ).tolist()
         self._pos = 0
+
+    def block(self) -> tuple[list[int], int]:
+        """The buffered words and the index of the first unread one,
+        refilled first when every word has been read.  A caller that
+        reads words in place reports where it stopped with ``seek``."""
+        if self._pos >= len(self._buf):
+            self._refill()
+        return self._buf, self._pos
+
+    def seek(self, pos: int) -> None:
+        """Mark the words of the current block before ``pos`` as read."""
+        self._pos = pos
 
     def randrange(self, bound: int) -> int:
         # modulo bias is < bound / 2**62, far below anything measurable here

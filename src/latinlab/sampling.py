@@ -8,7 +8,13 @@ lines, and flips the 2 x 2 x 2 box they span; the result either stays
 proper or leaves a single -1 entry, and from an improper state the move
 is mirrored, choosing among the two +1 slots on each of the three lines
 through the -1.  The cube is never materialized: three n x n occupancy
-arrays plus one record for the improper triple carry the whole state.
+arrays plus one record for the improper triple carry the whole state
+(``IncidenceCube``).  One module-level kernel, ``jm_run``, makes the
+moves over those lists bound to locals, with no call or attribute write
+per move.  Each move reads one 62-bit word of the chain's
+``RandomStream`` block in place: a proper move splits it into the cell
+(r, c) and the symbol s in mixed radix n, n, n - 1; an improper move
+reads its three binary choices off bits 0, 1 and 2.
 
 Rectangles are sampled by exact rejection, in numpy batches.  The map
 L -> (L[0], N), where N is L with its columns reordered so that row 0
@@ -46,8 +52,9 @@ class SamplerConfig:
     A proper visit is a move that lands on a proper cube (a Latin
     square); ``IncidenceCube.proper_steps`` counts them.  About one move
     in n is a proper visit (0.94/n to 1.06/n for n = 5..32), so n^2
-    visits cost about n^3 moves.  Snapshots are the states at visits
-    b, b + t, b + 2t, ... (b = burn-in, t = thinning).
+    visits cost about n^3 moves, and as many 62-bit words of the
+    stream, one per move (``jm_run``).  Snapshots are the states at
+    visits b, b + t, b + 2t, ... (b = burn-in, t = thinning).
 
     The defaults rest on ``autocorrelation_time`` of chains read every
     1 to 10 visits, never more than 0.01 n^2 apart.  For the
@@ -85,6 +92,8 @@ class IncidenceCube:
     -1 sits at (r, c, s); the second symbol of cell (r, c) is sym2, the
     second column of s in row r is col2, the second row of s in column c
     is row2 (the primary arrays hold the other member of each pair).
+    ``moves`` and ``proper_steps`` count the moves made and the moves
+    that landed on a proper cube; ``jm_run`` moves the state.
     """
 
     __slots__ = ("n", "S", "R", "C", "improper", "moves", "proper_steps")
@@ -107,64 +116,85 @@ class IncidenceCube:
         self.moves = 0
         self.proper_steps = 0
 
-    def step(self, rng: RandomStream) -> bool:
-        """One chain move.  Returns True when the new state is proper."""
-        S, R, C = self.S, self.R, self.C
-        n = self.n
-        if self.improper is None:
-            r = rng.randrange(n)
-            c = rng.randrange(n)
-            s = rng.randrange(n - 1)
-            s1 = S[r][c]
-            if s >= s1:
-                s += 1
-            r1 = R[c][s]
-            c1 = C[r][s]
-            fs, fc, fr = s, c, r
-        else:
-            r, c, s, sym2, col2, row2 = self.improper
-            a = S[r][c]
-            if rng.randrange(2):
-                s1, fs = sym2, a
-            else:
-                s1, fs = a, sym2
-            a = C[r][s]
-            if rng.randrange(2):
-                c1, fc = col2, a
-            else:
-                c1, fc = a, col2
-            a = R[c][s]
-            if rng.randrange(2):
-                r1, fr = row2, a
-            else:
-                r1, fr = a, row2
-        self.moves += 1
-        t = S[r1][c1]
-        old_col = C[r1][s1]
-        old_row = R[c1][s1]
-        S[r][c] = fs
-        C[r][s] = fc
-        R[c][s] = fr
-        S[r][c1] = s1
-        C[r][s1] = c1
-        R[c1][s1] = r
-        S[r1][c] = s1
-        C[r1][s1] = c
-        R[c][s1] = r1
-        S[r1][c1] = s
-        C[r1][s] = c1
-        R[c1][s] = r1
-        if t == s1:
-            self.improper = None
-            self.proper_steps += 1
-            return True
-        self.improper = (r1, c1, s1, t, old_col, old_row)
-        return False
-
     def snapshot(self) -> LatinSquare:
         if self.improper is not None:
             raise RuntimeError("cannot snapshot an improper state")
         return LatinSquare(np.array(self.S, dtype=np.int64))
+
+
+def jm_run(cube: IncidenceCube, words: list[int], start: int,
+           target: int) -> int:
+    """Move ``cube`` one word at a time from ``words[start]`` until
+    ``cube.proper_steps`` reaches ``target`` or the words run out, and
+    return the index of the first word left unread.
+
+    A move from a proper cube reads a word v as r = v % n,
+    c = v // n % n and s = v // n^2 % (n - 1), the last skipping the
+    symbol of cell (r, c); with v uniform below 2^62 the modulo bias is
+    below n^3 / 2^62.  A move from an improper cube reads bits 0, 1 and
+    2 of its word to pick the symbol, column and row of the box.
+    """
+    n = cube.n
+    nm1 = n - 1
+    S, R, C = cube.S, cube.R, cube.C
+    imp = cube.improper
+    visits = cube.proper_steps
+    i, end = start, len(words)
+    while visits < target and i < end:
+        v = words[i]
+        i += 1
+        if imp is None:
+            r = v % n
+            v //= n
+            c = v % n
+            s = v // n % nm1
+            Sr, Cr, Rc = S[r], C[r], R[c]
+            s1 = Sr[c]
+            if s >= s1:
+                s += 1
+            r1 = Rc[s]
+            c1 = Cr[s]
+            fs, fc, fr = s, c, r
+        else:
+            r, c, s, sym2, col2, row2 = imp
+            Sr, Cr, Rc = S[r], C[r], R[c]
+            if v & 1:
+                s1, fs = sym2, Sr[c]
+            else:
+                s1, fs = Sr[c], sym2
+            if v & 2:
+                c1, fc = col2, Cr[s]
+            else:
+                c1, fc = Cr[s], col2
+            if v & 4:
+                r1, fr = row2, Rc[s]
+            else:
+                r1, fr = Rc[s], row2
+        Sr1, Cr1, Rc1 = S[r1], C[r1], R[c1]
+        t = Sr1[c1]
+        old_col = Cr1[s1]
+        old_row = Rc1[s1]
+        Sr[c] = fs
+        Cr[s] = fc
+        Rc[s] = fr
+        Sr[c1] = s1
+        Cr[s1] = c1
+        Rc1[s1] = r
+        Sr1[c] = s1
+        Cr1[s1] = c
+        Rc[s1] = r1
+        Sr1[c1] = s
+        Cr1[s] = c1
+        Rc1[s] = r1
+        if t == s1:
+            imp = None
+            visits += 1
+        else:
+            imp = (r1, c1, s1, t, old_col, old_row)
+    cube.moves += i - start
+    cube.proper_steps = visits
+    cube.improper = imp
+    return i
 
 
 def sample_squares(
@@ -184,10 +214,10 @@ def sample_squares(
     out = []
     target = int(cfg.burn_in_factor * n * n)
     thin = max(1, int(cfg.thin_factor * n * n))
-    step = cube.step
     while len(out) < count:
         while cube.proper_steps < target:
-            step(rng)
+            words, i = rng.block()
+            rng.seek(jm_run(cube, words, i, target))
         out.append(cube.snapshot())
         target += thin
     return out

@@ -3,8 +3,9 @@
 Everything here is written for transparency, not speed: quadruples are
 materialized explicitly and pairs are compared with dense boolean
 matrices, so results are easy to audit and serve as oracles for the
-fast per-class counters in the package and for the incremental
-bookkeeping of the removal process.
+fast per-class counters in the package, for the incremental
+bookkeeping of the removal process and for the Jacobson-Matthews move
+kernel.
 """
 
 from __future__ import annotations
@@ -358,6 +359,68 @@ def brute_cell_weights(state) -> list[list[int]]:
     for (r, c, _), safe in _triple_safety(state).items():
         w[r][c] += safe is True
     return w
+
+
+def reference_move(cube, word: int) -> bool:
+    """One Jacobson-Matthews move of ``cube`` (a
+    ``sampling.IncidenceCube``) driven by one 62-bit word, decoded as
+    ``sampling.jm_run`` does.  Returns True when the new state is
+    proper."""
+    S, R, C = cube.S, cube.R, cube.C
+    n = cube.n
+    if cube.improper is None:
+        # the zero cell (r, c, s): s runs over the n - 1 symbols that
+        # cell (r, c) does not hold
+        rest, r = divmod(word, n)
+        rest, c = divmod(rest, n)
+        s = rest % (n - 1)
+        s1 = S[r][c]
+        if s >= s1:
+            s += 1
+        r1 = R[c][s]
+        c1 = C[r][s]
+        fs, fc, fr = s, c, r
+    else:
+        # each line through the -1 has two +1 slots; one bit picks the
+        # slot that is flipped, for the symbol, column and row lines
+        r, c, s, sym2, col2, row2 = cube.improper
+        a = S[r][c]
+        if word & 1:
+            s1, fs = sym2, a
+        else:
+            s1, fs = a, sym2
+        a = C[r][s]
+        if word & 2:
+            c1, fc = col2, a
+        else:
+            c1, fc = a, col2
+        a = R[c][s]
+        if word & 4:
+            r1, fr = row2, a
+        else:
+            r1, fr = a, row2
+    cube.moves += 1
+    t = S[r1][c1]
+    old_col = C[r1][s1]
+    old_row = R[c1][s1]
+    S[r][c] = fs
+    C[r][s] = fc
+    R[c][s] = fr
+    S[r][c1] = s1
+    C[r][s1] = c1
+    R[c1][s1] = r
+    S[r1][c] = s1
+    C[r1][s1] = c
+    R[c][s1] = r1
+    S[r1][c1] = s
+    C[r1][s] = c1
+    R[c1][s] = r1
+    if t == s1:
+        cube.improper = None
+        cube.proper_steps += 1
+        return True
+    cube.improper = (r1, c1, s1, t, old_col, old_row)
+    return False
 
 
 def reduced_squares(n: int) -> np.ndarray:

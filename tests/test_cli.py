@@ -425,6 +425,14 @@ def test_bad_parameters_are_input_errors(capsys, tmp_path):
                  ["experiment", "phi-table", "--n", "3", "--threads", "0",
                   "--out", str(tmp_path)],
                  ["experiment", "phi-table", "--n", "3", "--threads", "-4",
+                  "--out", str(tmp_path)],
+                 ["experiment", "phi-table", "--n", "0",
+                  "--out", str(tmp_path)],
+                 ["experiment", "intercalate-mean", "--samples", "0",
+                  "--out", str(tmp_path)],
+                 ["experiment", "boost-convergence", "--n", "3",
+                  "--out", str(tmp_path)],
+                 ["experiment", "absorber-demo", "--samples", "-1",
                   "--out", str(tmp_path)]):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv

@@ -22,6 +22,8 @@ from latinlab.counting import (
     _cells_of,
     _column_pairs,
     _proper_quadruples,
+    _total_dense,
+    _total_generic,
     count_configuration,
     count_cuboctahedra_nondegenerate,
     count_cuboctahedra_total,
@@ -61,6 +63,22 @@ def test_cyclic_table_total_is_n_fifth():
     for n in (1, 2, 3, 4):
         sq = group_table("cyclic", n)
         assert count_cuboctahedra_total(sq) == n**5
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_dense_total_matches_brute(n, seed):
+    sq = sample_squares(n, 1, RandomStream(seed))[0]
+    assert _total_dense(sq) == brute_total(sq)
+
+
+def test_dense_total_matches_generic_at_larger_orders():
+    rng = RandomStream(29)
+    for n in (16, 24, 32):
+        sq = sample_squares(n, 1, rng)[0]
+        assert _total_dense(sq) == _total_generic(sq)
+    total = _total_dense(group_table("cyclic", 64))
+    assert total == 64**5 and type(total) is int
 
 
 @settings(max_examples=20, deadline=None)

@@ -17,12 +17,18 @@ from latinlab.sampling import (
     SamplerConfig,
     autocorrelation_time,
     enumerate_squares,
+    jm_run,
     sample_rectangle,
     sample_rectangles,
     sample_squares,
 )
 
-from reference import exact_intercalate_law, intercalate_law, reduced_squares
+from reference import (
+    exact_intercalate_law,
+    intercalate_law,
+    reduced_squares,
+    reference_move,
+)
 
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576, 5: 161280}
@@ -212,7 +218,7 @@ def test_snapshots_are_the_states_at_fixed_proper_visits(n, burn_in, thin,
                                                          b, t):
     cfg = SamplerConfig(burn_in_factor=burn_in, thin_factor=thin)
     got = sample_squares(n, 5, RandomStream(3), cfg)
-    # replay the chain by hand, counting proper visits from step()
+    # replay the chain move by move, one stream word per move
     rng = RandomStream(3)
     cube = IncidenceCube(group_table("cyclic", n))
     visits = 0
@@ -221,8 +227,43 @@ def test_snapshots_are_the_states_at_fixed_proper_visits(n, burn_in, thin,
         if visits == b + len(want) * t:
             want.append(cube.snapshot())
         else:
-            visits += cube.step(rng)
+            visits += reference_move(cube, rng.randrange(1 << 62))
     assert got == want
+
+
+def _state(cube):
+    return (cube.S, cube.R, cube.C, cube.improper, cube.moves,
+            cube.proper_steps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 12), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(0, 2**62 - 1), min_size=1, max_size=300))
+def test_kernel_matches_reference_move_by_move(n, seed, words):
+    # both start from a sampled square and read the same words, one word
+    # per kernel call
+    square = sample_squares(n, 1, RandomStream(seed))[0]
+    fast, slow = IncidenceCube(square), IncidenceCube(square)
+    for w in words:
+        assert jm_run(fast, [w], 0, fast.proper_steps + 1) == 1
+        reference_move(slow, w)
+        assert _state(fast) == _state(slow)
+
+
+def test_kernel_stops_at_the_target_and_reports_where():
+    rng = RandomStream(9)
+    words = [rng.randrange(1 << 62) for _ in range(5000)]
+    fast = IncidenceCube(group_table("cyclic", 7))
+    slow = IncidenceCube(group_table("cyclic", 7))
+    stop = jm_run(fast, words, 10, 40)
+    assert fast.proper_steps == 40 and fast.improper is None
+    assert fast.moves == stop - 10
+    for w in words[10:stop]:
+        reference_move(slow, w)
+    assert _state(fast) == _state(slow)
+    # an exhausted block stops the kernel short of its target
+    assert jm_run(fast, words, len(words) - 3, 10**6) == len(words)
+    assert fast.moves == stop - 7
 
 
 def test_default_thinning_spans_four_autocorrelation_times():
