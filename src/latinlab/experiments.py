@@ -365,13 +365,11 @@ def _exp_boost_convergence(spec: ExperimentSpec):
 def _selected_per_edge(tset, chosen: np.ndarray) -> np.ndarray:
     """Triangles-per-host-edge counts of the sampled family."""
     sub = tset.tris[np.asarray(chosen, dtype=bool)]
-    counts = []
-    for (ci, cj), adj in zip(((0, 1), (1, 2), (2, 0)),
-                             (tset.adj(0), tset.adj(1), tset.adj(2))):
-        per = np.zeros(adj.shape, dtype=np.int64)
-        np.add.at(per, (sub[:, ci], sub[:, cj]), 1)
-        counts.append(per[adj])
-    return np.concatenate(counts)
+    n = tset.n
+    return np.concatenate([
+        np.bincount(sub[:, ci] * n + sub[:, cj],
+                    minlength=n * n).reshape(n, n)[tset.adj(k)]
+        for k, (ci, cj) in enumerate(((0, 1), (1, 2), (2, 0)))])
 
 
 def _exp_absorber_demo(spec: ExperimentSpec):

@@ -59,11 +59,15 @@ def _canonical(kind: int, i, j, w):
 class TriangleSet:
     """A triangle collection over a balanced tripartite host.
 
-    Triangles are rows (v1, v2, v3).  Per-edge and per-vertex indexes
-    are kept as dense arrays: triangle counts, 64-bit apex masks (bit w
-    of apex_masks[k][i, j] says the triangle with kind-k edge (i, j) and
-    apex w is present), and the id grid mapping (v1, v2, v3) back to a
-    row of ``tris``.
+    ``triangles`` is an (m, 3) integer array of rows (v1, v2, v3); m may
+    be 0, repeated rows count once, and the order does not matter.  The
+    rows are scattered into a boolean (n, n, n) presence cube, so
+    ``tris`` comes out deduplicated and in lexicographic order.  Every
+    index is a reduction of that cube: the id grid ``id3`` mapping
+    (v1, v2, v3) to a row of ``tris`` (-1 where absent), per-edge
+    triangle counts, 64-bit apex masks (bit w of apex_masks[k][i, j]
+    says the triangle with kind-k edge (i, j) and apex w is present) and
+    per-vertex triangle counts.
     """
 
     __slots__ = ("host", "n", "tris", "id3", "apex_masks", "edge_counts",
@@ -77,42 +81,44 @@ class TriangleSet:
             raise ValueError(f"apex masks cap part size at {MASK_CAP}")
         self.host = host
         self.n = n = n1
-        tris = np.asarray(sorted(set(map(tuple, triangles))), dtype=np.int64)
-        if tris.size == 0:
-            tris = tris.reshape(0, 3)
-        if tris.size and (tris.min() < 0 or tris.max() >= n):
+        rows = np.asarray(triangles)
+        if rows.shape == (0,):  # an empty list
+            rows = np.zeros((0, 3), dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError("triangles must form an (m, 3) array")
+        if rows.dtype.kind not in "iu":
+            raise ValueError("triangle vertices must be integers")
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
             raise ValueError("triangle vertex out of range")
-        adjs = (host.adj12, host.adj23, host.adj31)
-        for k, (ci, cj, _) in enumerate(KIND_COLS):
-            if tris.size and not adjs[k][tris[:, ci], tris[:, cj]].all():
-                raise ValueError("triangle edge missing from host")
-        self.tris = tris
-        m = len(tris)
+        cube = np.zeros((n, n, n), dtype=bool)
+        cube[rows[:, 0], rows[:, 1], rows[:, 2]] = True
+        if (cube & ~(host.adj12[:, :, None] & host.adj23[None, :, :]
+                     & host.adj31.T[:, None, :])).any():
+            raise ValueError("triangle edge missing from host")
+        self.tris = np.argwhere(cube).astype(np.int64, copy=False)
         id3 = np.full((n, n, n), -1, dtype=np.int64)
-        id3[tris[:, 0], tris[:, 1], tris[:, 2]] = np.arange(m)
+        id3[cube] = np.arange(len(self.tris))
         self.id3 = id3
+        bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
         self.apex_masks = []
         self.edge_counts = []
-        for ci, cj, cw in KIND_COLS:
-            am = np.zeros((n, n), dtype=np.uint64)
-            np.bitwise_or.at(
-                am, (tris[:, ci], tris[:, cj]),
-                np.uint64(1) << tris[:, cw].astype(np.uint64))
-            ec = np.zeros((n, n), dtype=np.int64)
-            np.add.at(ec, (tris[:, ci], tris[:, cj]), 1)
-            self.apex_masks.append(am)
-            self.edge_counts.append(ec)
-        vc = np.zeros((3, n), dtype=np.int64)
-        for p in range(3):
-            np.add.at(vc[p], tris[:, p], 1)
-        self.vertex_counts = vc
+        for cols in KIND_COLS:
+            # axes (ci, cj, cw): reduce over the apex
+            by_edge = cube.transpose(cols)
+            self.apex_masks.append(
+                np.bitwise_or.reduce(by_edge * bits, axis=2))
+            self.edge_counts.append(by_edge.sum(axis=2, dtype=np.int64))
+        # kind k's edges start in part k
+        self.vertex_counts = np.stack([ec.sum(axis=1)
+                                       for ec in self.edge_counts])
         # degree of vertex u in part p, and cross-pair edge totals
         deg = np.zeros((3, n), dtype=np.int64)
         deg[0] = host.adj12.sum(axis=1) + host.adj31.sum(axis=0)
         deg[1] = host.adj23.sum(axis=1) + host.adj12.sum(axis=0)
         deg[2] = host.adj31.sum(axis=1) + host.adj23.sum(axis=0)
         self.deg = deg
-        self.edges_per_pair = tuple(int(a.sum()) for a in adjs)
+        self.edges_per_pair = tuple(
+            int(a.sum()) for a in (host.adj12, host.adj23, host.adj31))
         self._cycle_cache = None
 
     def __len__(self) -> int:
@@ -188,13 +194,12 @@ class WeightFunction:
         self.total = math.fsum(values)
         tris = tset.tris
         n = tset.n
-        vertex = np.zeros((3, n))
-        edge = []
-        for k, (ci, cj, _) in enumerate(KIND_COLS):
-            ek = np.zeros((n, n))
-            np.add.at(ek, (tris[:, ci], tris[:, cj]), values)
-            edge.append(ek)
-            np.add.at(vertex[k], tris[:, k], values)
+        # bincount adds in triangle order, as a scatter-add would
+        vertex = np.stack([np.bincount(tris[:, p], weights=values, minlength=n)
+                           for p in range(3)])
+        edge = [np.bincount(tris[:, ci] * n + tris[:, cj], weights=values,
+                            minlength=n * n).reshape(n, n)
+                for ci, cj, _ in KIND_COLS]
         self.vertex = vertex
         self.edge = edge
 
@@ -428,10 +433,21 @@ class ConditionReport:
     def ok(self) -> bool:
         return not any(self.violation_counts.values())
 
-    def _add(self, v: Violation) -> None:
-        self.violation_counts[v.condition] += 1
-        if len(self.sample) < self.MAX_STORED:
-            self.sample.append(v)
+    def _check(self, condition: int, pair: str, observed, low, high,
+               where) -> None:
+        """Check each observed value against [low, high] (broadcast),
+        count the violations in order and store the first ones;
+        ``where(t)`` names the t-th checked item."""
+        observed = np.asarray(observed)
+        low = np.broadcast_to(low, observed.shape)
+        high = np.broadcast_to(high, observed.shape)
+        bad = np.flatnonzero((observed < low) | (observed > high))
+        self.checked[condition] += len(observed)
+        self.violation_counts[condition] += len(bad)
+        for t in bad[:max(self.MAX_STORED - len(self.sample), 0)]:
+            self.sample.append(Violation(condition, pair, where(t),
+                                         float(observed[t]), float(low[t]),
+                                         float(high[t])))
 
 
 @dataclass
@@ -462,8 +478,14 @@ def check_conditions(tset: TriangleSet, params: RegParams,
     parts, of size (1 +- xi) p^{|S|} n in the third; (3) joint triangle
     extensions of edge sets Q, |Q| <= 6, within [C^-1, C] p^{|V(Q)|} n;
     (4) equal cross-pair edge counts and per-vertex degree gaps at most
-    n^(2/3).  Sizes 1 and 2 are exhaustive, larger sets are sampled.
-    Violations are collected, never raised.
+    n^(2/3).  Sizes 1 and 2 are exhaustive, larger sets are sampled:
+    SAMPLE_BUDGET ``gen.choice`` draws per size, taken for each target
+    part or edge kind before its sets are checked.  Each pool of
+    equal-size sets is checked as one array reduction: a common
+    neighborhood is ``rows[set].all(axis=0).sum()`` over the stacked
+    adjacency rows toward the target, a joint extension the popcount of
+    the ANDed apex masks.  Violations are counted in checking order and
+    the first MAX_STORED kept as samples; they are never raised.
     """
     n = tset.n
     p, q, xi, C = params.p, params.q, params.xi, params.C
@@ -474,14 +496,10 @@ def check_conditions(tset: TriangleSet, params: RegParams,
 
     target1 = p * p * q * n
     for kind in range(3):
-        adjk = tset.adj(kind)
-        counts = tset.edge_counts[kind]
-        rep.checked[1] += int(adjk.sum())
-        lo, hi = (1 - xi) * target1, (1 + xi) * target1
-        bad = adjk & ((counts < lo) | (counts > hi))
-        for i, j in zip(*np.nonzero(bad)):
-            rep._add(Violation(1, KIND_NAMES[kind], (int(i), int(j)),
-                               float(counts[i, j]), lo, hi))
+        ii, jj = np.nonzero(tset.adj(kind))
+        rep._check(1, KIND_NAMES[kind], tset.edge_counts[kind][ii, jj],
+                   (1 - xi) * target1, (1 + xi) * target1,
+                   lambda t: (int(ii[t]), int(jj[t])))
 
     # condition 2: adjacency rows, by part of the target
     row_toward = {
@@ -490,71 +508,47 @@ def check_conditions(tset: TriangleSet, params: RegParams,
         (1, 2): tset.host.adj23, (2, 1): tset.host.adj23.T,
         (2, 0): tset.host.adj31, (0, 2): tset.host.adj31.T,
     }
-
-    def common_count(members: list[tuple[int, int]], target: int) -> int:
-        rows = [row_toward[part, target][v] for part, v in members]
-        out = rows[0].copy()
-        for r in rows[1:]:
-            out &= r
-        return int(out.sum())
-
     for target in range(3):
         pa, pb = (target + 1) % 3, (target + 2) % 3
         verts = [(pa, v) for v in range(n)] + [(pb, v) for v in range(n)]
-        sets2 = [[verts[a], verts[b]]
-                 for a in range(2 * n) for b in range(a + 1, 2 * n)]
-        pools: list[list] = [[[v] for v in verts], sets2]
-        for size in range(3, 7):
-            picked = [[verts[t] for t in gen.choice(2 * n, size,
-                                                    replace=False)]
-                      for _ in range(SAMPLE_BUDGET)]
-            pools.append(picked)
-        for pool in pools:
-            for members in pool:
-                size = len(members)
-                lo = (1 - xi) * p**size * n
-                hi = (1 + xi) * p**size * n
-                got = common_count(members, target)
-                rep.checked[2] += 1
-                if not lo <= got <= hi:
-                    rep._add(Violation(2, str(target), tuple(members),
-                                       float(got), lo, hi))
+        rows = np.concatenate([row_toward[pa, target],
+                               row_toward[pb, target]])
+        # each pool holds one vertex set per row, as indexes into verts
+        pools = [np.arange(2 * n)[:, None],
+                 np.stack(np.triu_indices(2 * n, k=1), axis=1)]
+        pools += [np.array([gen.choice(2 * n, size, replace=False)
+                            for _ in range(SAMPLE_BUDGET)])
+                  for size in range(3, 7)]
+        for sets in pools:
+            size = sets.shape[1]
+            rep._check(2, str(target), rows[sets].all(axis=1).sum(axis=1),
+                       (1 - xi) * p**size * n, (1 + xi) * p**size * n,
+                       lambda t: tuple(verts[v] for v in sets[t]))
 
+    # condition 3: bands by the number of vertices an edge set spans
+    low3 = np.array([p ** nv * n / C for nv in range(13)])
+    high3 = np.array([p ** nv * n * C for nv in range(13)])
     for kind in range(3):
-        adjk = tset.adj(kind)
         am = tset.apex_masks[kind]
-        eis, ejs = np.nonzero(adjk)
+        eis, ejs = np.nonzero(tset.adj(kind))
         edge_pool = list(zip(eis.tolist(), ejs.tolist()))
-        groups: list[list[list[tuple[int, int]]]] = [[[e] for e in edge_pool]]
+        pools = [np.arange(len(eis))[:, None]]
         for size in range(2, 7):
-            if len(edge_pool) < size:
+            if len(eis) < size:
                 break
-            picked = [[edge_pool[t] for t in gen.choice(len(edge_pool), size,
-                                                        replace=False)]
-                      for _ in range(SAMPLE_BUDGET)]
-            groups.append(picked)
-        for pool in groups:
-            for edges in pool:
-                mask = np.uint64(~np.uint64(0))
-                vs = set()
-                for (i, j) in edges:
-                    mask &= am[i, j]
-                    vs.add(("i", i))
-                    vs.add(("j", j))
-                got = int(mask).bit_count()
-                lo = p ** len(vs) * n / C
-                hi = p ** len(vs) * n * C
-                rep.checked[3] += 1
-                if not lo <= got <= hi:
-                    rep._add(Violation(3, KIND_NAMES[kind], tuple(edges),
-                                       float(got), lo, hi))
+            pools.append(np.array([gen.choice(len(eis), size, replace=False)
+                                   for _ in range(SAMPLE_BUDGET)]))
+        for sets in pools:
+            got = np.bitwise_count(
+                np.bitwise_and.reduce(am[eis[sets], ejs[sets]], axis=1))
+            nv = sum(1 + (np.diff(np.sort(ends[sets], axis=1), axis=1)
+                          != 0).sum(axis=1) for ends in (eis, ejs))
+            rep._check(3, KIND_NAMES[kind], got, low3[nv], high3[nv],
+                       lambda t: tuple(edge_pool[e] for e in sets[t]))
 
-    rep.checked[4] += 1
-    if len(set(tset.edges_per_pair)) > 1:
-        rep._add(Violation(4, "all", ("cross-pair counts",),
-                           float(max(tset.edges_per_pair)),
-                           float(min(tset.edges_per_pair)),
-                           float(min(tset.edges_per_pair))))
+    pairs = tset.edges_per_pair
+    rep._check(4, "all", [max(pairs)], min(pairs), min(pairs),
+               lambda t: ("cross-pair counts",))
     gap_cap = n ** (2 / 3)
     # degree toward the two other parts, per vertex
     toward = {
@@ -563,11 +557,8 @@ def check_conditions(tset: TriangleSet, params: RegParams,
         2: (tset.host.adj31.sum(axis=1), tset.host.adj23.sum(axis=0)),
     }
     for part, (d_next, d_prev) in toward.items():
-        rep.checked[4] += n
         gaps = np.abs(d_next.astype(np.int64) - d_prev.astype(np.int64))
-        for v in np.flatnonzero(gaps > gap_cap):
-            rep._add(Violation(4, str(part), (int(v),),
-                               float(gaps[v]), 0.0, gap_cap))
+        rep._check(4, str(part), gaps, 0.0, gap_cap, lambda t: (int(t),))
     return rep
 
 

@@ -4,8 +4,9 @@ Everything here is written for transparency, not speed: quadruples are
 materialized explicitly and pairs are compared with dense boolean
 matrices, so results are easy to audit and serve as oracles for the
 fast per-class counters in the package, for the incremental
-bookkeeping of the removal process and for the Jacobson-Matthews move
-kernel.
+bookkeeping of the removal process, for the Jacobson-Matthews move
+kernel and for the boosting layer's indexes, weight sums and condition
+checks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,15 @@ from latinlab.core import (
     to_triples,
 )
 from latinlab.counting import DEGENERACY_LABELS
-from latinlab.fracdec import TriangleSet, complete_host
+from latinlab.fracdec import (
+    KIND_COLS,
+    KIND_NAMES,
+    SAMPLE_BUDGET,
+    ConditionReport,
+    TriangleSet,
+    Violation,
+    complete_host,
+)
 from latinlab.rng import RandomStream
 from latinlab.sampling import enumerate_squares
 
@@ -551,3 +560,150 @@ def graph_triangles(ts: TripleSystem) -> int:
                 if r in sr.get(s, ()):
                     total += 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# the boosting layer, one triangle or one checked set at a time
+
+
+def brute_triangle_indexes(n: int, triangles) -> dict:
+    """The indexes of ``TriangleSet``, built one triangle at a time:
+    ``tris``, ``id3``, ``apex_masks``, ``edge_counts``, ``vertex_counts``."""
+    tris = sorted({tuple(int(v) for v in t) for t in triangles})
+    id3 = np.full((n, n, n), -1, dtype=np.int64)
+    masks = [[[0] * n for _ in range(n)] for _ in range(3)]
+    counts = np.zeros((3, n, n), dtype=np.int64)
+    vertex = np.zeros((3, n), dtype=np.int64)
+    for t, tri in enumerate(tris):
+        id3[tri] = t
+        for k, (ci, cj, cw) in enumerate(KIND_COLS):
+            masks[k][tri[ci]][tri[cj]] |= 1 << tri[cw]
+            counts[k, tri[ci], tri[cj]] += 1
+            vertex[k, tri[k]] += 1
+    return {
+        "tris": np.asarray(tris, dtype=np.int64).reshape(-1, 3),
+        "id3": id3,
+        "apex_masks": [np.asarray(m, dtype=np.uint64).reshape(n, n)
+                       for m in masks],
+        "edge_counts": list(counts),
+        "vertex_counts": vertex,
+    }
+
+
+def brute_weight_sums(tset: TriangleSet, values) -> dict:
+    """Vertex and edge sums of triangle weights, added in triangle order
+    as Python floats, and their compensated total."""
+    n = tset.n
+    vertex = np.zeros((3, n))
+    edge = [np.zeros((n, n)) for _ in range(3)]
+    for tri, w in zip(tset.tris.tolist(), np.asarray(values).tolist()):
+        for k, (ci, cj, _) in enumerate(KIND_COLS):
+            vertex[k, tri[k]] += w
+            edge[k][tri[ci], tri[cj]] += w
+    return {"vertex": vertex, "edge": edge, "total": math.fsum(values)}
+
+
+def brute_conditions(tset: TriangleSet, params, rng: RandomStream):
+    """``check_conditions`` one checked vertex set or edge set at a time,
+    with the same draws from ``rng`` in the same order."""
+    n = tset.n
+    p, q, xi, C = params.p, params.q, params.xi, params.C
+    gen = rng.generator
+    rep = ConditionReport(n, {k: 0 for k in (1, 2, 3, 4)},
+                          {k: 0 for k in (1, 2, 3, 4)}, [])
+
+    def add(v: Violation) -> None:
+        rep.violation_counts[v.condition] += 1
+        if len(rep.sample) < rep.MAX_STORED:
+            rep.sample.append(v)
+
+    target1 = p * p * q * n
+    for kind in range(3):
+        adjk = tset.adj(kind)
+        lo, hi = (1 - xi) * target1, (1 + xi) * target1
+        for i in range(n):
+            for j in range(n):
+                if not adjk[i, j]:
+                    continue
+                rep.checked[1] += 1
+                got = int(tset.edge_counts[kind][i, j])
+                if not lo <= got <= hi:
+                    add(Violation(1, KIND_NAMES[kind], (i, j), float(got),
+                                  lo, hi))
+
+    row_toward = {
+        (0, 1): tset.host.adj12, (1, 0): tset.host.adj12.T,
+        (1, 2): tset.host.adj23, (2, 1): tset.host.adj23.T,
+        (2, 0): tset.host.adj31, (0, 2): tset.host.adj31.T,
+    }
+
+    def common_count(members, target):
+        rows = [row_toward[part, target][v] for part, v in members]
+        out = rows[0].copy()
+        for r in rows[1:]:
+            out &= r
+        return int(out.sum())
+
+    for target in range(3):
+        pa, pb = (target + 1) % 3, (target + 2) % 3
+        verts = [(pa, v) for v in range(n)] + [(pb, v) for v in range(n)]
+        pools = [[[v] for v in verts],
+                 [[verts[a], verts[b]]
+                  for a in range(2 * n) for b in range(a + 1, 2 * n)]]
+        for size in range(3, 7):
+            pools.append([[verts[t] for t in gen.choice(2 * n, size,
+                                                        replace=False)]
+                          for _ in range(SAMPLE_BUDGET)])
+        for pool in pools:
+            for members in pool:
+                size = len(members)
+                lo = (1 - xi) * p**size * n
+                hi = (1 + xi) * p**size * n
+                got = common_count(members, target)
+                rep.checked[2] += 1
+                if not lo <= got <= hi:
+                    add(Violation(2, str(target), tuple(members),
+                                  float(got), lo, hi))
+
+    for kind in range(3):
+        am = tset.apex_masks[kind]
+        eis, ejs = np.nonzero(tset.adj(kind))
+        edge_pool = list(zip(eis.tolist(), ejs.tolist()))
+        groups = [[[e] for e in edge_pool]]
+        for size in range(2, 7):
+            if len(edge_pool) < size:
+                break
+            groups.append([[edge_pool[t] for t in gen.choice(
+                len(edge_pool), size, replace=False)]
+                for _ in range(SAMPLE_BUDGET)])
+        for pool in groups:
+            for edges in pool:
+                mask = np.uint64(~np.uint64(0))
+                vs = set()
+                for (i, j) in edges:
+                    mask &= am[i, j]
+                    vs.add(("i", i))
+                    vs.add(("j", j))
+                got = int(mask).bit_count()
+                lo = p ** len(vs) * n / C
+                hi = p ** len(vs) * n * C
+                rep.checked[3] += 1
+                if not lo <= got <= hi:
+                    add(Violation(3, KIND_NAMES[kind], tuple(edges),
+                                  float(got), lo, hi))
+
+    rep.checked[4] += 1
+    pairs = tset.edges_per_pair
+    if len(set(pairs)) > 1:
+        add(Violation(4, "all", ("cross-pair counts",), float(max(pairs)),
+                      float(min(pairs)), float(min(pairs))))
+    gap_cap = n ** (2 / 3)
+    for part in range(3):
+        for v in range(n):
+            rep.checked[4] += 1
+            # degree toward the next part against degree from the previous
+            gap = abs(int(tset.adj(part)[v].sum())
+                      - int(tset.adj((part + 2) % 3)[:, v].sum()))
+            if gap > gap_cap:
+                add(Violation(4, str(part), (v,), float(gap), 0.0, gap_cap))
+    return rep

@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latinlab.core import TripartiteGraph
 from latinlab.fracdec import (
+    MASK_CAP,
+    ConditionReport,
     RegParams,
     TriangleSet,
+    WeightFunction,
     boost,
     check_conditions,
     chi_uv,
@@ -16,8 +22,17 @@ from latinlab.fracdec import (
     psi_e,
 )
 from latinlab.rng import RandomStream, substream
+from latinlab.sampling import sample_squares
 
-from reference import all_triangles, thinned_instance, tripartite_of
+from reference import (
+    all_triangles,
+    brute_conditions,
+    brute_triangle_indexes,
+    brute_weight_sums,
+    restrict_rows,
+    thinned_instance,
+    tripartite_of,
+)
 
 
 def small_conforming(n=12):
@@ -33,6 +48,92 @@ def test_triangle_set_validates_membership():
     sparse = tripartite_of(TripleSystem(3, [(0, 0, 0)]))
     with pytest.raises(ValueError):
         TriangleSet(sparse, [(0, 0, 1)])  # missing column-symbol edge
+
+
+def test_triangle_set_rejects_rows_that_are_not_triples():
+    host = complete_host(3)
+    for rows in ([(0, 1, 2, 0)],             # a fourth vertex
+                 [(0, 1), (2, 0), (1, 2)],   # six numbers, not two triples
+                 [(0.0, 1.0, 2.0)],
+                 [(True, False, True)],
+                 [0, 1, 2],
+                 [[(0, 1, 2)]]):
+        with pytest.raises(ValueError):
+            TriangleSet(host, rows)
+    for empty in ([], np.zeros((0, 3), dtype=np.int64)):
+        tset = TriangleSet(host, empty)
+        assert len(tset) == 0 and tset.tris.shape == (0, 3)
+        assert (tset.id3 == -1).all()
+
+
+def test_triangle_set_checks_range_before_indexing():
+    # on the complete host -1 would wrap to the valid vertex 2
+    host = complete_host(3)
+    for bad in ([(-1, 0, 0)], [(0, -3, 1)], [(0, 1, 3)],
+                np.array([(0, 0, 2**40)], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="out of range"):
+            TriangleSet(host, bad)
+
+
+def test_triangle_set_ignores_order_and_repeats():
+    tset = thinned_instance(9, 0.6, substream(5, 1))
+    rows = np.concatenate([tset.tris, tset.tris[::3]])
+    RandomStream(2).generator.shuffle(rows)
+    again = TriangleSet(tset.host, rows)
+    assert (again.tris == tset.tris).all()
+    assert (again.id3 == tset.id3).all()
+
+
+def _random_host(n, densities, gen):
+    return TripartiteGraph.from_adjacency(
+        *(gen.random((n, n)) < d for d in densities))
+
+
+def _assert_matches_brute(host, rows, gen):
+    tset = TriangleSet(host, rows)
+    ref = brute_triangle_indexes(tset.n, rows)
+    assert tset.tris.dtype == np.int64
+    assert (tset.tris == ref["tris"]).all()
+    assert (tset.id3 == ref["id3"]).all()
+    assert (tset.vertex_counts == ref["vertex_counts"]).all()
+    for k in range(3):
+        assert tset.apex_masks[k].dtype == np.uint64
+        assert (tset.apex_masks[k] == ref["apex_masks"][k]).all()
+        assert (tset.edge_counts[k] == ref["edge_counts"][k]).all()
+    values = gen.standard_normal(len(tset)) * 10.0 ** gen.integers(
+        -6, 6, len(tset))
+    wf = WeightFunction(tset, values)
+    sums = brute_weight_sums(tset, values)
+    assert wf.total == sums["total"]
+    # both add in triangle order, so the floats agree bit for bit
+    assert wf.vertex.tobytes() == sums["vertex"].tobytes()
+    for k in range(3):
+        assert wf.edge[k].tobytes() == sums["edge"][k].tobytes()
+    return tset
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_indexes_and_weight_sums_match_brute(n, seed):
+    gen = RandomStream(seed).generator
+    host = _random_host(n, gen.uniform(0.3, 1.0, 3), gen)
+    every = all_triangles(host).tris
+    rows = every[gen.random(len(every)) < gen.uniform(0.2, 1.0)]
+    rows = np.concatenate([rows, rows[gen.integers(0, 2, len(rows)) == 1]])
+    gen.shuffle(rows)
+    _assert_matches_brute(host, rows, gen)
+
+
+def test_indexes_and_weight_sums_match_brute_at_mask_cap():
+    gen = RandomStream(64).generator
+    host = complete_host(MASK_CAP)
+    cube = gen.random((MASK_CAP,) * 3) < 0.3
+    cube[:, :, MASK_CAP - 1] = True   # apex bit 63 on every kind-12 edge
+    rows = np.argwhere(cube)
+    rows = np.concatenate([rows, rows[::5]])
+    gen.shuffle(rows)
+    tset = _assert_matches_brute(host, rows, gen)
+    assert (tset.apex_masks[0] >> np.uint64(MASK_CAP - 1) == 1).all()
 
 
 def test_triangle_set_indexes_are_consistent():
@@ -51,6 +152,47 @@ def test_conforming_instance_passes_conditions():
     rep = check_conditions(tset, params, RandomStream(0))
     assert rep.ok
     assert all(v == 0 for v in rep.violation_counts.values())
+
+
+def _assert_same_report(tset, params, seed):
+    fast = check_conditions(tset, params, RandomStream(seed))
+    slow = brute_conditions(tset, params, RandomStream(seed))
+    assert fast.checked == slow.checked
+    assert fast.violation_counts == slow.violation_counts
+    assert [vars(v) for v in fast.sample] == [vars(v) for v in slow.sample]
+
+    def plain(where):
+        return all(plain(w) if isinstance(w, tuple) else type(w) in (int, str)
+                   for w in where)
+
+    for v in fast.sample:
+        assert plain(v.where)
+        assert all(type(x) is float for x in (v.observed, v.low, v.high))
+    return fast
+
+
+def test_conditions_match_brute_on_dense_instances():
+    _assert_same_report(conforming_instance(30), RegParams(p=1.0, q=0.9), 0)
+    for n, q, seed in ((9, 0.5, 1), (12, 0.8, 2), (16, 0.95, 3)):
+        rep = _assert_same_report(thinned_instance(n, q, substream(seed, 4)),
+                                  RegParams(p=1.0, q=q, C=1.5), seed)
+        assert not rep.ok
+
+
+@pytest.mark.parametrize("stored", [ConditionReport.MAX_STORED, 10**6])
+def test_conditions_match_brute_on_sparse_hosts(stored, monkeypatch):
+    # with every violation stored, their whole order is compared
+    monkeypatch.setattr(ConditionReport, "MAX_STORED", stored)
+    square = sample_squares(10, 1, RandomStream(2))[0]
+    tset = all_triangles(tripartite_of(restrict_rows(square, 6)))
+    rep = _assert_same_report(tset, RegParams(p=0.8, q=0.5, C=1.5), 5)
+    assert all(rep.violation_counts[c] > 0 for c in (1, 2, 3))
+    # uneven densities break condition 4 as well
+    host = _random_host(10, (0.9, 0.5, 0.7), RandomStream(6).generator)
+    rep = _assert_same_report(all_triangles(host),
+                              RegParams(p=0.7, q=0.5, C=2.0), 6)
+    assert all(rep.violation_counts[c] > 0 for c in (1, 2, 3, 4))
+    assert len(rep.sample) == min(stored, sum(rep.violation_counts.values()))
 
 
 def test_chi_uv_vertex_weights_are_unit():
