@@ -19,7 +19,7 @@ from latinlab.process import (
     predicted_available,
     run_process,
 )
-from latinlab.rng import RandomStream, substream
+from latinlab.rng import substream
 
 
 def one_run(n: int, girth: int, seed: int, out_dir: str) -> dict:

@@ -207,9 +207,6 @@ class PathCover:
         self.parts = tuple(sizes)
         self.graph = graph_from_edges(self.parts, edges)
 
-    def new_vertex_count(self) -> int:
-        return sum(self.parts) - sum(self.x_sizes)
-
     def take(self, part: int, u: int, v: int, ptype: int) -> AugmentingPath:
         if u > v:
             u, v = v, u

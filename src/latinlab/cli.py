@@ -65,13 +65,11 @@ from .core import (
     serialize_triples,
 )
 from .counting import (
-    count_configuration,
+    count_cuboctahedra_nondegenerate,
     count_intercalates,
     count_subsquares,
-    cuboctahedron_configuration,
     cuboctahedron_report,
     girth,
-    intercalate_configuration,
 )
 from .experiments import (
     EXPERIMENTS,
@@ -205,12 +203,12 @@ def _cmd_count(args) -> int:
                 g = girth(obj, g_max=args.max)
                 rows.append((label, "girth",
                              g if g is not None else f">{args.max}"))
-            else:  # config
-                config = (intercalate_configuration()
-                          if args.name == "intercalate"
-                          else cuboctahedron_configuration())
-                rows.append((label, f"config_{args.name}",
-                             count_configuration(config, obj)))
+            elif args.name == "intercalate":  # config
+                rows.append((label, "config_intercalate",
+                             4 * count_intercalates(obj)))
+            else:
+                rows.append((label, "config_cuboctahedron",
+                             count_cuboctahedra_nondegenerate(obj)))
     _emit_rows(rows, args.format, args.out)
     return 0
 
@@ -479,7 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--name",
                          choices=["intercalate", "cuboctahedron"],
                          default="intercalate",
-                         help="configuration to embed (config only)")
+                         help="configuration to count, as labeled "
+                         "embeddings: 4 per intercalate, 1 per ordered "
+                         "nondegenerate cuboctahedron pair (config only)")
     p_count.add_argument("--format", choices=["csv", "json"], default="csv")
     p_count.add_argument("--out")
     p_count.set_defaults(fn=_cmd_count)

@@ -122,13 +122,9 @@ class TripleSystem:
     constructor takes any iterable of triples, with Python ints of any
     size; ``from_array`` takes an integer array and stays in numpy, so a
     system built from an array holds no tuples until ``triples`` is read.
-
-    Secondary indexes (cell -> symbol, row/symbol -> column,
-    column/symbol -> row) are built on first use; they exist exactly when
-    the system is Latin, so ``validate`` is the place that reports clashes.
     """
 
-    __slots__ = ("n", "_triples", "_array", "_by_rc", "_by_rs", "_by_cs")
+    __slots__ = ("n", "_triples", "_array")
 
     def __init__(self, n: int, triples: Iterable[tuple[int, int, int]]):
         ts = tuple(sorted({(int(r), int(c), int(s)) for r, c, s in triples}))
@@ -158,9 +154,6 @@ class TripleSystem:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "_triples", triples)
         object.__setattr__(self, "_array", array)
-        object.__setattr__(self, "_by_rc", None)
-        object.__setattr__(self, "_by_rs", None)
-        object.__setattr__(self, "_by_cs", None)
 
     def __setattr__(self, *a):
         raise AttributeError("TripleSystem is immutable")
@@ -197,34 +190,6 @@ class TripleSystem:
 
     def __repr__(self):
         return f"TripleSystem(n={self.n}, m={len(self)})"
-
-    def _build(self):
-        by_rc, by_rs, by_cs = {}, {}, {}
-        for r, c, s in self.triples:
-            by_rc[r, c] = s
-            by_rs[r, s] = c
-            by_cs[c, s] = r
-        object.__setattr__(self, "_by_rc", by_rc)
-        object.__setattr__(self, "_by_rs", by_rs)
-        object.__setattr__(self, "_by_cs", by_cs)
-
-    @property
-    def by_rc(self) -> dict:
-        if self._by_rc is None:
-            self._build()
-        return self._by_rc
-
-    @property
-    def by_rs(self) -> dict:
-        if self._by_rs is None:
-            self._build()
-        return self._by_rs
-
-    @property
-    def by_cs(self) -> dict:
-        if self._by_cs is None:
-            self._build()
-        return self._by_cs
 
     def cell_grid(self) -> np.ndarray:
         """n x n int matrix of symbols, -1 on empty cells."""

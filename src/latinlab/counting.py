@@ -571,144 +571,3 @@ def girth(obj, g_max: int = 12) -> int | None:
         extend(ext, root, root, 0)
         grow(1, masks[root], ext, root)
     return best
-
-
-# ---------------------------------------------------------------------------
-# configuration counting
-
-
-@dataclass(frozen=True)
-class ColoredTripleSystem:
-    """Small configuration: parts of sizes (h1, h2, h3), triples one
-    vertex per part, given as class-local indices."""
-
-    parts: tuple[int, int, int]
-    edges: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        h1, h2, h3 = self.parts
-        for e in self.edges:
-            i, j, k = e
-            if not (0 <= i < h1 and 0 <= j < h2 and 0 <= k < h3):
-                raise InputError(f"edge {e} escapes parts {self.parts}")
-        if len(set(self.edges)) != len(self.edges):
-            raise InputError("repeated edge")
-
-    def order(self) -> int:
-        return sum(self.parts)
-
-
-def intercalate_configuration() -> ColoredTripleSystem:
-    return ColoredTripleSystem(
-        (2, 2, 2),
-        ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)),
-    )
-
-
-def cuboctahedron_configuration() -> ColoredTripleSystem:
-    """Nondegenerate cuboctahedron: 12 vertices, 8 triples.  Symbol
-    vertices are shared between the two quadruples; rows and columns are
-    not."""
-    edges = []
-    for block in (0, 2):  # rows 0,1 vs 2,3; columns likewise
-        for i in (0, 1):
-            for j in (0, 1):
-                edges.append((block + i, block + j, 2 * i + j))
-    return ColoredTripleSystem((4, 4, 4), tuple(edges))
-
-
-def count_configuration(config: ColoredTripleSystem, host) -> int:
-    """Labeled color-preserving embeddings of ``config`` into ``host``.
-
-    Vertices map injectively within each class (rows to rows, columns to
-    columns, symbols to symbols); every configuration triple must land on
-    a host triple.  Isolated configuration vertices contribute falling
-    factorials.
-    """
-    if isinstance(host, (LatinSquare, LatinRectangle)):
-        host = to_triples(host)
-    if not isinstance(host, TripleSystem):
-        raise TypeError(f"cannot embed into {type(host).__name__}")
-    if config.order() > 14 or len(config.edges) > 10:
-        raise InputError("configuration too large (desk cap: 14 vertices, 10 edges)")
-    n = host.n
-    triples = host.triples
-    by_r: dict[int, list] = {}
-    by_c: dict[int, list] = {}
-    by_s: dict[int, list] = {}
-    for tr in triples:
-        by_r.setdefault(tr[0], []).append(tr)
-        by_c.setdefault(tr[1], []).append(tr)
-        by_s.setdefault(tr[2], []).append(tr)
-    tripleset = set(triples)
-    by_rc, by_rs, by_cs = host.by_rc, host.by_rs, host.by_cs
-
-    h1, h2, h3 = config.parts
-    assign: list[list[int | None]] = [[None] * h1, [None] * h2, [None] * h3]
-    used: list[set[int]] = [set(), set(), set()]
-    edges = list(config.edges)
-
-    in_some_edge = [{e[cls] for e in edges} for cls in range(3)]
-
-    def candidates(edge):
-        i, j, k = edge
-        mi, mj, mk = assign[0][i], assign[1][j], assign[2][k]
-        known = (mi is not None, mj is not None, mk is not None)
-        if all(known):
-            return [(mi, mj, mk)] if (mi, mj, mk) in tripleset else []
-        if known == (True, True, False):
-            s = by_rc.get((mi, mj))
-            return [(mi, mj, s)] if s is not None else []
-        if known == (True, False, True):
-            c = by_rs.get((mi, mk))
-            return [(mi, c, mk)] if c is not None else []
-        if known == (False, True, True):
-            r = by_cs.get((mj, mk))
-            return [(r, mj, mk)] if r is not None else []
-        if known == (True, False, False):
-            return by_r.get(mi, [])
-        if known == (False, True, False):
-            return by_c.get(mj, [])
-        if known == (False, False, True):
-            return by_s.get(mk, [])
-        return triples
-
-    def known_count(edge):
-        return sum(assign[cls][v] is not None for cls, v in enumerate(edge))
-
-    def extend(remaining):
-        if not remaining:
-            ways = 1
-            for cls in range(3):
-                free = config.parts[cls] - len(in_some_edge[cls])
-                avail = n - len(used[cls])
-                for t in range(free):
-                    ways *= avail - t
-            return ways
-        edge = max(remaining, key=known_count)
-        rest = [e for e in remaining if e is not edge]
-        total = 0
-        i, j, k = edge
-        for tr in candidates(edge):
-            newly = []
-            ok = True
-            for cls, hvert, hostv in ((0, i, tr[0]), (1, j, tr[1]), (2, k, tr[2])):
-                cur = assign[cls][hvert]
-                if cur is None:
-                    if hostv in used[cls]:
-                        ok = False
-                        break
-                    assign[cls][hvert] = hostv
-                    used[cls].add(hostv)
-                    newly.append((cls, hvert, hostv))
-                elif cur != hostv:
-                    ok = False
-                    break
-            if ok:
-                total += extend(rest)
-            for cls, hvert, hostv in newly:
-                assign[cls][hvert] = None
-                used[cls].discard(hostv)
-        return total
-
-    return extend(edges)

@@ -43,14 +43,14 @@ ORACLE_CELL_CAP = 8
 
 
 def _new_intercalates(cells: list[tuple[int, int, int]],
-                      by_rc: dict, by_cs: dict,
+                      symbol_at: dict, row_of: dict,
                       r: int, c: int, s: int) -> int:
     made = 0
     for (r0, c0, s0) in cells:
         if r0 != r or c0 == c or s0 == s:
             continue
-        r2 = by_cs.get((c, s0))
-        if r2 is not None and by_rc.get((r2, c0)) == s:
+        r2 = row_of.get((c, s0))
+        if r2 is not None and symbol_at.get((r2, c0)) == s:
             made += 1
     return made
 
@@ -73,9 +73,9 @@ def max_intercalates_oracle(m: int) -> tuple[int, TripleSystem]:
     best = prev_best
     best_cells: list[tuple[int, int, int]] | None = None
     cells: list[tuple[int, int, int]] = [(0, 0, 0)]
-    by_rc = {(0, 0): 0}
-    by_rs = {(0, 0): 0}
-    by_cs = {(0, 0): 0}
+    symbol_at = {(0, 0): 0}
+    column_of = {(0, 0): 0}
+    row_of = {(0, 0): 0}
 
     def search(count: int, maxr: int, maxc: int, maxs: int) -> None:
         nonlocal best, best_cells
@@ -92,18 +92,18 @@ def max_intercalates_oracle(m: int) -> tuple[int, TripleSystem]:
             for c in range(min(maxc + 1, cap - 1) + 1):
                 if (r, c) <= last[:2]:
                     continue
-                if (r, c) in by_rc:
+                if (r, c) in symbol_at:
                     continue
                 for s in range(min(maxs + 1, cap - 1) + 1):
-                    if (r, s) in by_rs or (c, s) in by_cs:
+                    if (r, s) in column_of or (c, s) in row_of:
                         continue
-                    made = _new_intercalates(cells, by_rc, by_cs, r, c, s)
+                    made = _new_intercalates(cells, symbol_at, row_of, r, c, s)
                     cells.append((r, c, s))
-                    by_rc[r, c] = s
-                    by_rs[r, s] = c
-                    by_cs[c, s] = r
+                    symbol_at[r, c] = s
+                    column_of[r, s] = c
+                    row_of[c, s] = r
                     search(count + made, max(maxr, r), max(maxc, c), max(maxs, s))
-                    del by_rc[r, c], by_rs[r, s], by_cs[c, s]
+                    del symbol_at[r, c], column_of[r, s], row_of[c, s]
                     cells.pop()
 
     search(0, 0, 0, 0)

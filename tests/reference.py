@@ -309,20 +309,28 @@ def connected_triple_sets(obj, max_vertices: int) -> int:
 
 
 def brute_embeddings(parts, edges, host) -> int:
-    """Color-preserving injective embeddings, checked by raw enumeration."""
+    """Color-preserving injective embeddings, checked by raw enumeration:
+    every injective row map is tried against every pair of injective
+    column and symbol maps, the pairs as one boolean array."""
     if isinstance(host, (LatinSquare, LatinRectangle)):
         host = to_triples(host)
     n = host.n
-    tripleset = set(host.triples)
+    present = np.zeros((n, n, n), dtype=bool)
+    for r, c, s in host.triples:
+        present[r, c, s] = True
     h1, h2, h3 = parts
+    cmaps = np.array(list(itertools.permutations(range(n), h2)),
+                     dtype=np.intp).reshape(-1, h2)
+    smaps = np.array(list(itertools.permutations(range(n), h3)),
+                     dtype=np.intp).reshape(-1, h3)
+    # hit[e][r, a, b]: row r, column map a and symbol map b place edge e
+    hit = [present[:, cmaps[:, j]][:, :, smaps[:, k]] for _, j, k in edges]
     count = 0
     for rmap in itertools.permutations(range(n), h1):
-        for cmap in itertools.permutations(range(n), h2):
-            for smap in itertools.permutations(range(n), h3):
-                if all(
-                    (rmap[i], cmap[j], smap[k]) in tripleset for i, j, k in edges
-                ):
-                    count += 1
+        ok = np.ones((len(cmaps), len(smaps)), dtype=bool)
+        for h, (i, _, _) in zip(hit, edges):
+            ok &= h[rmap[i]]
+        count += int(ok.sum())
     return count
 
 

@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import json
 import sys
 
 import numpy as np
@@ -10,11 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latinlab import counting
+from latinlab.cli import main
 from latinlab.core import (
     InputError,
     LatinSquare,
     TripleSystem,
     group_table,
+    parse_grid,
+    serialize_rectangle,
+    serialize_square,
     to_triples,
 )
 from latinlab.counting import (
@@ -24,16 +29,13 @@ from latinlab.counting import (
     _proper_quadruples,
     _total_dense,
     _total_generic,
-    count_configuration,
     count_cuboctahedra_nondegenerate,
     count_cuboctahedra_total,
     count_intercalates,
     count_intercalates_each,
     count_subsquares,
-    cuboctahedron_configuration,
     cuboctahedron_report,
     girth,
-    intercalate_configuration,
 )
 from latinlab.process import collision_filter, sample_sparse_system
 from latinlab.rng import RandomStream
@@ -431,32 +433,73 @@ def test_girth_cap_enforced():
         girth(TripleSystem(2, [(0, 0, 0)]), g_max=13)
 
 
-def test_intercalate_configuration_embeddings():
+# The configurations `latinlab count config` embeds, as class-local
+# (row, column, symbol) edges on parts of sizes (2, 2, 2) and (4, 4, 4):
+# the intercalate, and the nondegenerate cuboctahedron, two quadruples on
+# disjoint rows and columns with the same pattern of 4 distinct symbols.
+INTERCALATE_EDGES = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+CUBOCTAHEDRON_EDGES = tuple((block + i, block + j, 2 * i + j)
+                            for block in (0, 2) for i in (0, 1)
+                            for j in (0, 1))
+
+
+@pytest.fixture()
+def config_grids(tmp_path):
+    """Grid files of each kind `count config` reads, by path, with the
+    grid each holds: the order-4 XOR square, a sampled order-6 square, a
+    3 x 6 rectangle and that square with its diagonal emptied."""
     sq = sample_squares(6, 1, RandomStream(61))[0]
-    config = intercalate_configuration()
+    rect = sample_rectangle(3, 6, RandomStream(63))
+    rows = sq.grid.tolist()
+    partial = "6\n" + "".join(
+        " ".join("." if r == c else str(v) for c, v in enumerate(row)) + "\n"
+        for r, row in enumerate(rows))
+    texts = {
+        "xor4": serialize_square(group_table("elementary-abelian-2", 2)),
+        "square6": serialize_square(sq),
+        "rect3x6": serialize_rectangle(rect),
+        "partial6": partial,
+    }
+    grids = {}
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        grids[str(path)] = parse_grid(text)
+    return grids
+
+
+def _config_value(capsys, name, path) -> int:
+    """The value `latinlab count config --name NAME PATH` prints, checked
+    to be the same in its CSV and JSON output."""
+    assert main(["count", "config", "--name", name, path]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "input,metric,value"
+    label, metric, value = row.split(",")
+    assert (label, metric) == (path, f"config_{name}")
+    assert main(["count", "config", "--name", name, "--format", "json",
+                 path]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"input": path, "metric": f"config_{name}", "value": int(value)}]
+    return int(value)
+
+
+def test_intercalate_configuration_embeddings(capsys, config_grids):
     # 4 labeled embeddings (2 row orders x 2 column orders) per copy
-    assert count_configuration(config, sq) == 4 * count_intercalates(sq)
-    assert count_configuration(config, sq) == brute_embeddings(
-        config.parts, config.edges, sq)
+    values = []
+    for path, host in config_grids.items():
+        values.append(_config_value(capsys, "intercalate", path))
+        assert values[-1] == brute_embeddings(
+            (2, 2, 2), INTERCALATE_EDGES, host)
+    assert values[0] == 4 * 12
+    assert all(values)  # every grid holds an intercalate
 
 
-def test_cuboctahedron_configuration_embeddings():
+def test_cuboctahedron_configuration_embeddings(capsys, config_grids):
     # labeled embeddings correspond 1:1 to ordered nondegenerate pairs:
     # the ordered quadruple sweep already carries the automorphisms
-    config = cuboctahedron_configuration()
-    xor = group_table("elementary-abelian-2", 2)
-    assert count_configuration(config, xor) == 96
-    assert count_configuration(config, xor) == brute_embeddings(
-        config.parts, config.edges, xor)
-    sq = sample_squares(5, 1, RandomStream(67))[0]
-    assert count_configuration(config, sq) == \
-        count_cuboctahedra_nondegenerate(sq)
-
-
-def test_configuration_desk_cap():
-    from latinlab.counting import ColoredTripleSystem
-
-    big = ColoredTripleSystem((5, 5, 5), tuple(
-        (i, j, (i + j) % 5) for i in range(5) for j in range(3)))
-    with pytest.raises(ValueError):
-        count_configuration(big, group_table("cyclic", 5))
+    values = []
+    for path, host in config_grids.items():
+        values.append(_config_value(capsys, "cuboctahedron", path))
+        assert values[-1] == brute_embeddings(
+            (4, 4, 4), CUBOCTAHEDRON_EDGES, host)
+    assert values[0] == 96
