@@ -8,23 +8,35 @@ required to be *safe*: placing it must not complete an intercalate with
 three triples already present, which keeps the girth of the partial
 system above 6 for the whole run.
 
-Safety is tracked through a danger table: placing T creates a new
-near-intercalate for every pair (T, T') sharing a row or column whose
-two completing cells are half-filled, and a scan of the at most
-3(n - |row|) newly created patterns keeps the table current.  Without
-the constraint the table stays empty and every available triple is safe.
+Safety is tracked through a danger table, kept as three bitmask
+projections of the triples made dangerous while available:
+``dsyms[r][c]`` (symbols), ``dcols[r][s]`` (columns) and ``drows[c][s]``
+(rows).  Every entry sets one bit in each, so any one of them answers
+"is (r, c, s) dangerous?".  Placing T = (r, c, s) creates a
+near-intercalate for every partner T' sharing its row or column, and
+each partner can complete only one corner: a row partner (r, c2, s2)
+whose column holds no s makes T the opposite corner of (r3, c2, s) with
+(r3, c, s2) present; one whose column holds s at row r3 makes T the side
+cell of (r3, c, s2); a column partner (r2, c, s2) whose row holds s at
+c3 makes T the symbol-matching cell of (r, c3, s2).  The three scans
+read the line masks from before the placement and add the completing
+triple if it is still available and not already dangerous.  Without
+the constraint the table stays empty and every available triple is
+safe.
 
 Two weight tables are kept exactly beside it: ``w[r][c]``, the number
 of safe available symbols of cell (r, c), and ``roww[r]``, the sum of
 row r of ``w``.  A placement removes its own cell, the (r, c2, s) for
-the free columns c2 and the (r2, c, s) for the free rows r2, so
-``place`` updates the tables and the available and dangerous counts
-from those three line scans; a new danger entry on an available triple
-costs its cell one.  A step draws one k uniform in [0, safe count) and
-maps it to a triple: the row by walking ``roww``, the cell by walking
-``w[r]``, the symbol by walking the cell's free symbols that have no
-danger entry.  The map is a bijection onto the safe set, so each step
-is exactly uniform at O(n) cost.
+the free columns c2 and the (r2, c, s) for the free rows r2; the
+dangerous ones among them are the popcounts of those free masks with
+``dsyms[r][c]``, ``dcols[r][s]`` and ``drows[c][s]``, and only the free
+columns and rows outside the danger masks cost their cell one weight.
+A new danger entry on an available triple costs its cell one as well.
+A step draws one k uniform in [0, safe count) and maps it to a triple:
+the row and then the cell by bisecting the running sums of ``roww`` and
+``w[r]``, the symbol by clearing the k lowest bits of the cell's mask
+of free symbols outside ``dsyms``.  The map is a bijection onto the
+safe set, so each step is exactly uniform at O(n) cost.
 
 The expected trajectory of the safe count is
 
@@ -46,7 +58,9 @@ are predictable.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -121,11 +135,14 @@ class ProcessState:
         self.col_rows = [0] * n
         self.sym_cols = [0] * n    # columns containing symbol s
         self.sym_rows = [0] * n
+        # triples made dangerous while available, projected three ways
+        self.dsyms = [[0] * n for _ in range(n)]   # [r][c] -> symbols
+        self.dcols = [[0] * n for _ in range(n)]   # [r][s] -> columns
+        self.drows = [[0] * n for _ in range(n)]   # [c][s] -> rows
         self.w = [[n] * n for _ in range(n)]   # [r][c] -> safe symbols
         self.roww = [n * n] * n                # sum of w[r]
         self.available = n**3
         self.dangerous_available = 0
-        self.danger: set[int] = set()   # triples made dangerous while available
         self.steps = 0
 
     # -- predicates ---------------------------------------------------------
@@ -137,7 +154,7 @@ class ProcessState:
         )
 
     def is_safe(self, r: int, c: int, s: int) -> bool:
-        return (r * self.n + c) * self.n + s not in self.danger
+        return not (self.dsyms[r][c] >> s) & 1
 
     @property
     def safe_count(self) -> int:
@@ -148,73 +165,112 @@ class ProcessState:
     def place(self, r: int, c: int, s: int) -> None:
         if not self.is_available(r, c, s):
             raise ValueError(f"triple ({r},{c},{s}) is not available")
-        n, full, danger = self.n, self.full, self.danger
-        w, roww = self.w, self.roww
-        free_syms = ~(self.row_syms[r] | self.col_syms[c]) & full
-        free_cols = ~(self.row_cols[r] | self.sym_cols[s] | 1 << c) & full
-        free_rows = ~(self.col_rows[c] | self.sym_rows[s] | 1 << r) & full
+        full, w, roww = self.full, self.w, self.roww
+        dsyms, dcols, drows = self.dsyms, self.dcols, self.drows
+        if (dsyms[r][c] >> s) & 1:
+            raise ValueError(f"triple ({r},{c},{s}) would complete an "
+                             "intercalate")
+        row_syms, col_syms = self.row_syms, self.col_syms
+        row_cols, col_rows = self.row_cols[r], self.col_rows[c]
+        sym_cols, sym_rows = self.sym_cols[s], self.sym_rows[s]
+        free_syms = ~(row_syms[r] | col_syms[c]) & full
+        free_cols = ~(row_cols | sym_cols | 1 << c) & full
+        free_rows = ~(col_rows | sym_rows | 1 << r) & full
         self.available -= (
             free_syms.bit_count() + free_cols.bit_count() + free_rows.bit_count()
         )
-        # the cell's own triples: w[r][c] of them are safe, the rest dangerous
-        drop = free_syms.bit_count() - w[r][c]
-        roww[r] -= w[r][c]
-        w[r][c] = 0
-        for c2 in _bits(free_cols):
-            if (r * n + c2) * n + s in danger:
-                drop += 1
-            else:
-                w[r][c2] -= 1
-                roww[r] -= 1
-        for r2 in _bits(free_rows):
-            if (r2 * n + c) * n + s in danger:
-                drop += 1
-            else:
-                w[r2][c] -= 1
-                roww[r2] -= 1
-        self.dangerous_available -= drop
+        self.dangerous_available -= (
+            (free_syms & dsyms[r][c]).bit_count()
+            + (free_cols & dcols[r][s]).bit_count()
+            + (free_rows & drows[c][s]).bit_count()
+        )
+        # the safe triples that become unavailable each cost their cell one
+        wr = w[r]
+        roww[r] -= wr[c]
+        wr[c] = 0
+        m = free_cols & ~dcols[r][s]
+        roww[r] -= m.bit_count()
+        while m:
+            b = m & -m
+            wr[b.bit_length() - 1] -= 1
+            m ^= b
+        m = free_rows & ~drows[c][s]
+        while m:
+            b = m & -m
+            r2 = b.bit_length() - 1
+            w[r2][c] -= 1
+            roww[r2] -= 1
+            m ^= b
 
-        self.cell[r][c] = s
-        self.col_of[r][s] = c
-        self.row_of[c][s] = r
-        self.row_syms[r] |= 1 << s
-        self.col_syms[c] |= 1 << s
-        self.row_cols[r] |= 1 << c
-        self.col_rows[c] |= 1 << r
-        self.sym_cols[s] |= 1 << c
-        self.sym_rows[s] |= 1 << r
+        cell, col_of, row_of = self.cell, self.col_of, self.row_of
+        cell[r][c] = s
+        col_of[r][s] = c
+        row_of[c][s] = r
+        row_syms[r] |= 1 << s
+        col_syms[c] |= 1 << s
+        self.row_cols[r] = row_cols | 1 << c
+        self.col_rows[c] = col_rows | 1 << r
+        self.sym_cols[s] = sym_cols | 1 << c
+        self.sym_rows[s] = sym_rows | 1 << r
         self.steps += 1
-
-        if self.girth:
-            # near-intercalates created by the new triple, one per partner
-            # sharing its row or column with the right completing cell
-            add = self._add_danger
-            cell, col_of, row_of = self.cell, self.col_of, self.row_of
-            for c2 in _bits(self.row_cols[r] & ~(1 << c)):
-                s2 = cell[r][c2]
-                r3 = row_of[c][s2]
-                if r3 >= 0:          # new triple plays the opposite corner
-                    add(r3, c2, s)
-                r3 = row_of[c2][s]
-                if r3 >= 0:          # new triple is the side cell
-                    add(r3, c, s2)
-            for r2 in _bits(self.col_rows[c] & ~(1 << r)):
-                s2 = cell[r2][c]
-                c3 = col_of[r2][s]
-                if c3 >= 0:          # new triple is the symbol-matching cell
-                    add(r, c3, s2)
-
-    def _add_danger(self, r: int, c: int, s: int) -> None:
-        # availability only falls, so danger on an unavailable triple is
-        # never read
-        if not self.is_available(r, c, s):
+        if not self.girth:
             return
-        key = (r * self.n + c) * self.n + s
-        if key not in self.danger:
-            self.danger.add(key)
-            self.dangerous_available += 1
-            self.w[r][c] -= 1
-            self.roww[r] -= 1
+
+        # near-intercalates created by the new triple: each partner sharing
+        # its row or column completes at most one corner, told apart by
+        # whether the partner's line already holds s; the masks are the
+        # ones from before this placement, so the new triple is not its
+        # own partner
+        made = 0
+        cellr = cell[r]
+        m = row_cols & ~sym_cols
+        while m:                     # the new triple is the opposite corner
+            b = m & -m
+            c2 = b.bit_length() - 1
+            m ^= b
+            r3 = row_of[c][cellr[c2]]
+            if (r3 >= 0 and cell[r3][c2] < 0
+                    and not ((row_syms[r3] | col_syms[c2] | dsyms[r3][c2])
+                             >> s) & 1):
+                dsyms[r3][c2] |= 1 << s
+                dcols[r3][s] |= b
+                drows[c2][s] |= 1 << r3
+                w[r3][c2] -= 1
+                roww[r3] -= 1
+                made += 1
+        m = row_cols & sym_cols
+        while m:                     # the new triple is the side cell
+            b = m & -m
+            c2 = b.bit_length() - 1
+            m ^= b
+            s2 = cellr[c2]
+            r3 = row_of[c2][s]
+            if (cell[r3][c] < 0
+                    and not ((row_syms[r3] | col_syms[c] | dsyms[r3][c])
+                             >> s2) & 1):
+                dsyms[r3][c] |= 1 << s2
+                dcols[r3][s2] |= 1 << c
+                drows[c][s2] |= 1 << r3
+                w[r3][c] -= 1
+                roww[r3] -= 1
+                made += 1
+        m = col_rows & sym_rows
+        while m:                     # the new triple is the symbol-matching cell
+            b = m & -m
+            r2 = b.bit_length() - 1
+            m ^= b
+            s2 = cell[r2][c]
+            c3 = col_of[r2][s]
+            if (cellr[c3] < 0
+                    and not ((row_syms[r] | col_syms[c3] | dsyms[r][c3])
+                             >> s2) & 1):
+                dsyms[r][c3] |= 1 << s2
+                dcols[r][s2] |= 1 << c3
+                drows[c3][s2] |= 1 << r
+                w[r][c3] -= 1
+                roww[r] -= 1
+                made += 1
+        self.dangerous_available += made
 
     # -- candidate selection ------------------------------------------------
 
@@ -223,33 +279,32 @@ class ProcessState:
         (row, column, symbol) order of ``safe_candidates``."""
         r, k = _locate(self.roww, k)
         c, k = _locate(self.w[r], k)
-        key = (r * self.n + c) * self.n
-        for s in _bits(~(self.row_syms[r] | self.col_syms[c]) & self.full):
-            if key + s not in self.danger:
-                if k == 0:
-                    return r, c, s
-                k -= 1
-        raise AssertionError(f"cell ({r},{c}) has fewer safe symbols than w")
+        m = ~(self.row_syms[r] | self.col_syms[c] | self.dsyms[r][c]) & self.full
+        for _ in range(k):
+            m &= m - 1
+        if not m:
+            raise AssertionError(f"cell ({r},{c}) has fewer safe symbols than w")
+        return r, c, (m & -m).bit_length() - 1
 
     def safe_candidates(self) -> list[tuple[int, int, int]]:
         """Every safe available triple, enumerated directly."""
-        full = self.full
+        full, dsyms = self.full, self.dsyms
         return [
             (r, c, s)
             for r in range(self.n)
             for c in _bits(~self.row_cols[r] & full)
-            for s in _bits(~(self.row_syms[r] | self.col_syms[c]) & full)
-            if self.is_safe(r, c, s)
+            for s in _bits(
+                ~(self.row_syms[r] | self.col_syms[c] | dsyms[r][c]) & full)
         ]
 
 
 def _locate(weights: list[int], k: int) -> tuple[int, int]:
     """The index i holding unit k of the weights, and k's offset within it."""
-    for i, wt in enumerate(weights):
-        if k < wt:
-            return i, k
-        k -= wt
-    raise IndexError("k is not below the total weight")
+    ends = list(accumulate(weights))
+    if not 0 <= k < ends[-1]:
+        raise IndexError(f"k = {k} is not in [0, {ends[-1]})")
+    i = bisect_right(ends, k)
+    return i, k - ends[i] + weights[i]
 
 
 def run_process(
@@ -257,6 +312,8 @@ def run_process(
 ) -> ProcessResult:
     """Run the process to stall (or max_steps) and record exact counts."""
     cfg = config or ProcessConfig()
+    if cfg.max_steps is not None and cfg.max_steps < 0:
+        raise InputError(f"step cap must be nonnegative, not {cfg.max_steps}")
     state = ProcessState(n, cfg.girth)
     limit = n * n if cfg.max_steps is None else min(cfg.max_steps, n * n)
     trace: list[int] = []

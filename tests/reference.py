@@ -370,6 +370,11 @@ def brute_counts(state) -> tuple[int, int]:
             sum(v is False for v in safety))
 
 
+def brute_safe_triples(state) -> list[tuple[int, int, int]]:
+    """Every safe available triple, in (row, column, symbol) order."""
+    return [t for t, safe in _triple_safety(state).items() if safe is True]
+
+
 def brute_cell_weights(state) -> list[list[int]]:
     """Safe available symbols per cell, as the n x n table ``w``."""
     w = [[0] * state.n for _ in range(state.n)]

@@ -419,6 +419,7 @@ def test_bad_parameters_are_input_errors(capsys, tmp_path):
                  ["sample", "square", "--n", "5", "--burnin", "-1"],
                  ["boost", "--graph", str(graph), "--triangles", str(graph)],
                  ["process", "run", "--n", "5", "--g", "4"],
+                 ["process", "run", "--n", "5", "--m", "-3"],
                  ["phi", "--N", "0"],
                  ["experiment", "gstar-cuboctahedra", "--alpha", "500",
                   "--samples", "1", "--out", str(tmp_path)],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latinlab.core import TripleSystem, validate
+from latinlab.core import InputError, TripleSystem, validate
 from latinlab.counting import count_intercalates, girth
 from latinlab.process import (
     ProcessConfig,
@@ -20,7 +20,13 @@ from latinlab.process import (
 )
 from latinlab.rng import RandomStream
 
-from reference import brute_cell_weights, brute_counts, brute_intercalates
+from reference import (
+    _triple_safety,
+    brute_cell_weights,
+    brute_counts,
+    brute_intercalates,
+    brute_safe_triples,
+)
 
 
 def test_run_records_are_consistent():
@@ -50,6 +56,10 @@ def test_max_steps_cap():
     res = run_process(12, RandomStream(5), ProcessConfig(max_steps=20))
     assert res.steps == 20
     assert not res.stalled
+    res = run_process(5, RandomStream(0), ProcessConfig(max_steps=0))
+    assert res.steps == 0 and len(res.trace) == 0 and not res.stalled
+    with pytest.raises(InputError, match="step cap"):
+        run_process(5, RandomStream(0), ProcessConfig(max_steps=-3))
 
 
 def test_girth_constrained_run_avoids_intercalates():
@@ -82,6 +92,15 @@ def test_incremental_counts_and_weights_match_brute_at_every_step(n, g, seed):
         assert state.w == w
         assert state.roww == [sum(row) for row in w]
         assert sum(state.roww) == state.safe_count
+        # the danger projections agree with the grid on every available
+        # triple: one bit in each of dsyms, dcols and drows, or none
+        for (r, c, s), safe in _triple_safety(state).items():
+            if safe is None:
+                continue
+            assert state.is_safe(r, c, s) == safe
+            bits = ((state.dsyms[r][c] >> s) & 1, (state.dcols[r][s] >> c) & 1,
+                    (state.drows[c][s] >> r) & 1)
+            assert bits == ((0, 0, 0) if safe else (1, 1, 1)), (r, c, s)
         if state.safe_count == 0:
             break
         state.place(*state.triple_at(rng.randrange(state.safe_count)))
@@ -96,8 +115,32 @@ def test_draw_maps_k_onto_each_safe_triple_exactly_once(g):
             rng = RandomStream(seed)
             while state.safe_count:
                 drawn = [state.triple_at(k) for k in range(state.safe_count)]
+                assert drawn == brute_safe_triples(state)
                 assert drawn == state.safe_candidates()
                 state.place(*drawn[rng.randrange(len(drawn))])
+
+
+@pytest.mark.parametrize("g", [0, 6])
+def test_draw_rejects_k_outside_the_safe_range(g):
+    state = ProcessState(6, g)
+    rng = RandomStream(0)
+    for _ in range(10):
+        state.place(*state.triple_at(rng.randrange(state.safe_count)))
+    for k in (-1, state.safe_count):
+        with pytest.raises(IndexError):
+            state.triple_at(k)
+
+
+def test_place_rejects_unavailable_and_unsafe_triples():
+    state = ProcessState(4, 6)
+    for t in [(0, 0, 0), (0, 1, 1), (1, 0, 1)]:
+        state.place(*t)
+    with pytest.raises(ValueError, match="not available"):
+        state.place(1, 1, 1)
+    # (1, 1, 0) closes the intercalate on rows 0, 1 and columns 0, 1
+    with pytest.raises(ValueError, match="intercalate"):
+        state.place(1, 1, 0)
+    assert state.steps == 3 and state.cell[1][1] == -1
 
 
 @pytest.mark.parametrize("n", [0, -3])
