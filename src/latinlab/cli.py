@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="intercalate target")
     p_phi.add_argument("--exact-max-cells", type=int,
                        default=ORACLE_CELL_CAP,
-                       help=f"oracle effort cap (<= {ORACLE_CELL_CAP})")
+                       help=f"oracle effort cap (0..{ORACLE_CELL_CAP})")
     p_phi.add_argument("--witness-out", help="witness file path")
     p_phi.add_argument("--out", help="JSON report path (default stdout)")
     p_phi.set_defaults(fn=_cmd_phi)

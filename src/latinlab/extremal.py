@@ -11,6 +11,14 @@ search enumerates cells in lexicographic order with gap-free labels
 (over-generating isomorphic copies is harmless for a maximum) and prunes
 with the fact that the i-th cell closes at most floor((i-1)/3) new
 intercalates: two intercalates through one cell share no other cell.
+Only configurations above I*(m-1) matter, and those use every label at
+least twice, so the search also prunes on label use: it never leaves a
+row that holds one cell (rows are never revisited), and it stops when
+more columns, or more symbols, are used once than cells remain to be
+placed, since each further cell adds a use to one column and one symbol.
+These prunes cut only subtrees without an improving configuration, so
+the search meets the same maxima in the same order and returns the same
+witness as without them.
 
 The lower bound floor((4N)^(1/3))^2 comes from triangle counting in the
 tripartite graph of a configuration: an intercalate spans an octahedron,
@@ -36,6 +44,9 @@ from .core import (
 from .counting import count_intercalates
 
 ORACLE_CELL_CAP = 8
+# phi_report takes about 2 s at this N on a 2-CPU Xeon; the XOR witness has
+# four times as many cells at each step of the table
+PHI_N_CAP = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +87,19 @@ def max_intercalates_oracle(m: int) -> tuple[int, TripleSystem]:
     symbol_at = {(0, 0): 0}
     column_of = {(0, 0): 0}
     row_of = {(0, 0): 0}
+    # cells per row, column and symbol label
+    row_use = [1] + [0] * (cap - 1)
+    col_use = [1] + [0] * (cap - 1)
+    sym_use = [1] + [0] * (cap - 1)
 
     def search(count: int, maxr: int, maxc: int, maxs: int) -> None:
         nonlocal best, best_cells
         i = len(cells)
+        # an improving configuration uses every label at least twice; each
+        # later cell gives a second use to one column and one symbol
+        left = m - i
+        if col_use.count(1) > left or sym_use.count(1) > left:
+            return
         if i == m:
             if count > best:
                 best = count
@@ -88,7 +108,9 @@ def max_intercalates_oracle(m: int) -> tuple[int, TripleSystem]:
         if count + tail[i] <= best:
             return
         last = cells[-1]
-        for r in range(last[0], min(maxr + 1, cap - 1) + 1):
+        # rows are never revisited: leave a row only once it has two cells
+        top = last[0] if row_use[last[0]] == 1 else min(maxr + 1, cap - 1)
+        for r in range(last[0], top + 1):
             for c in range(min(maxc + 1, cap - 1) + 1):
                 if (r, c) <= last[:2]:
                     continue
@@ -102,7 +124,13 @@ def max_intercalates_oracle(m: int) -> tuple[int, TripleSystem]:
                     symbol_at[r, c] = s
                     column_of[r, s] = c
                     row_of[c, s] = r
+                    row_use[r] += 1
+                    col_use[c] += 1
+                    sym_use[s] += 1
                     search(count + made, max(maxr, r), max(maxc, c), max(maxs, s))
+                    row_use[r] -= 1
+                    col_use[c] -= 1
+                    sym_use[s] -= 1
                     del symbol_at[r, c], column_of[r, s], row_of[c, s]
                     cells.pop()
 
@@ -117,7 +145,10 @@ def phi_exact(N: int, max_cells: int = ORACLE_CELL_CAP) -> int | None:
     """min{m : I*(m) >= N} when it is within the oracle range."""
     if N < 1:
         raise InputError("need N >= 1")
-    for m in range(1, min(max_cells, ORACLE_CELL_CAP) + 1):
+    if not 0 <= max_cells <= ORACLE_CELL_CAP:
+        raise InputError(
+            f"exact cell budget must lie in 0..{ORACLE_CELL_CAP}")
+    for m in range(1, max_cells + 1):
         if max_intercalates_oracle(m)[0] >= N:
             return m
     return None
@@ -136,10 +167,16 @@ def _icbrt(x: int) -> int:
     return r
 
 
-def phi_lower_bound(N: int) -> int:
-    """floor((4N)^(1/3))^2 cells are needed for N intercalates."""
+def _check_target(N: int) -> None:
     if N < 1:
         raise InputError("need N >= 1")
+    if N > PHI_N_CAP:
+        raise InputError(f"phi bounds are desk-capped at N <= {PHI_N_CAP}")
+
+
+def phi_lower_bound(N: int) -> int:
+    """floor((4N)^(1/3))^2 cells are needed for N intercalates."""
+    _check_target(N)
     return _icbrt(4 * N) ** 2
 
 
@@ -149,8 +186,7 @@ def _xor_block_intercalates(k: int) -> int:
 
 def phi_upper_bound(N: int) -> tuple[int, TripleSystem]:
     """Cell count and witness from XOR tables, >= N intercalates."""
-    if N < 1:
-        raise InputError("need N >= 1")
+    _check_target(N)
     k = 1
     while 8**k <= 4 * N + N**0.75:
         k += 1
@@ -188,8 +224,8 @@ def phi_report(N: int, max_cells: int = ORACLE_CELL_CAP) -> PhiRecord:
     """Bounds, the exact value when the oracle reaches it, and the
     ratios against the (4N)^(2/3) growth rate."""
     lower = phi_lower_bound(N)
-    upper, witness = phi_upper_bound(N)
     exact = phi_exact(N, max_cells)
+    upper, witness = phi_upper_bound(N)
     if exact is not None:
         _, witness = max_intercalates_oracle(exact)
         # the oracle witness maximizes I*(exact) so it carries >= N

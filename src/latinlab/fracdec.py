@@ -392,17 +392,25 @@ def psi_e(tset: TriangleSet, kind: int, i: int, j: int) -> WeightFunction:
 
 def adjust(wf: WeightFunction) -> WeightFunction:
     """One step of the adjustment map
-    A(phi) = phi - sum_e phi^disc(e) psi_e."""
+    A(phi) = phi - sum_e phi^disc(e) psi_e.
+
+    Discrepancies within 1e-12 of the weight scale count as zero.  When
+    every edge's does, the correction is zero and A(phi) = phi bit for
+    bit, so ``wf`` itself is returned."""
     if not wf.is_vertex_balanced(BALANCE_REL):
         raise ValueError("adjust requires a vertex-balanced input")
     tset = wf.tset
-    corr = np.zeros(len(tset))
+    corr = None
     eps = 1e-12 * wf.scale()
     for kind in range(3):
         d = wf.disc(kind)
         ii, jj = np.nonzero(np.abs(d) > eps)
         if len(ii):
+            if corr is None:
+                corr = np.zeros(len(tset))
             _accumulate_psi(tset, kind, ii, jj, d[ii, jj], corr)
+    if corr is None:
+        return wf
     return WeightFunction(tset, wf.values - corr)
 
 

@@ -576,6 +576,78 @@ def graph_triangles(ts: TripleSystem) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the extremal oracle without its label-use prunes
+
+
+def brute_max_intercalates(m: int) -> tuple[int, TripleSystem]:
+    """I*(m) with its witness by the search of ``max_intercalates_oracle``
+    with only the label cap and the per-cell intercalate bound, uncached.
+
+    Same DFS order as the package oracle, so it must return the same
+    value and the same witness; a prune that cuts an improving
+    configuration changes one or the other.
+    """
+    if m < 4:
+        return 0, TripleSystem(max(m, 1), ((i, i, i) for i in range(m)))
+    prev_best, prev_witness = brute_max_intercalates(m - 1)
+    cap = m // 2
+    tail = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        tail[i] = tail[i + 1] + i // 3
+
+    best = prev_best
+    best_cells = None
+    cells = [(0, 0, 0)]
+    symbol_at = {(0, 0): 0}
+    column_of = {(0, 0): 0}
+    row_of = {(0, 0): 0}
+
+    def closes(r, c, s):
+        made = 0
+        for (r0, c0, s0) in cells:
+            if r0 != r or c0 == c or s0 == s:
+                continue
+            r2 = row_of.get((c, s0))
+            if r2 is not None and symbol_at.get((r2, c0)) == s:
+                made += 1
+        return made
+
+    def search(count, maxr, maxc, maxs):
+        nonlocal best, best_cells
+        i = len(cells)
+        if i == m:
+            if count > best:
+                best = count
+                best_cells = list(cells)
+            return
+        if count + tail[i] <= best:
+            return
+        last = cells[-1]
+        for r in range(last[0], min(maxr + 1, cap - 1) + 1):
+            for c in range(min(maxc + 1, cap - 1) + 1):
+                if (r, c) <= last[:2] or (r, c) in symbol_at:
+                    continue
+                for s in range(min(maxs + 1, cap - 1) + 1):
+                    if (r, s) in column_of or (c, s) in row_of:
+                        continue
+                    made = closes(r, c, s)
+                    cells.append((r, c, s))
+                    symbol_at[r, c] = s
+                    column_of[r, s] = c
+                    row_of[c, s] = r
+                    search(count + made, max(maxr, r), max(maxc, c),
+                           max(maxs, s))
+                    del symbol_at[r, c], column_of[r, s], row_of[c, s]
+                    cells.pop()
+
+    search(0, 0, 0, 0)
+    if best_cells is None:
+        return prev_best, prev_witness
+    n = max(max(t) for t in best_cells) + 1
+    return best, TripleSystem(n, best_cells)
+
+
+# ---------------------------------------------------------------------------
 # the boosting layer, one triangle or one checked set at a time
 
 

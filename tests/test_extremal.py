@@ -8,6 +8,7 @@ from latinlab.core import TripleSystem, validate
 from latinlab.counting import count_intercalates
 from latinlab.extremal import (
     ORACLE_CELL_CAP,
+    PHI_N_CAP,
     max_intercalates_oracle,
     phi_exact,
     phi_lower_bound,
@@ -15,7 +16,11 @@ from latinlab.extremal import (
     phi_upper_bound,
 )
 
-from reference import brute_intercalates, graph_triangles
+from reference import (
+    brute_intercalates,
+    brute_max_intercalates,
+    graph_triangles,
+)
 
 
 def test_oracle_small_values():
@@ -32,6 +37,17 @@ def test_oracle_witnesses_are_valid_and_tight():
         assert validate(witness)
         assert count_intercalates(witness) == best
         assert brute_intercalates(witness) == best
+
+
+def test_oracle_matches_unpruned_search():
+    # the label-use prunes cut only subtrees without an improving
+    # configuration, so value and witness match the plain search
+    for m in range(ORACLE_CELL_CAP + 1):
+        best, witness = max_intercalates_oracle(m)
+        ref_best, ref_witness = brute_max_intercalates(m)
+        assert best == ref_best, m
+        assert witness.triples == ref_witness.triples, m
+        assert witness.n == ref_witness.n, m
 
 
 def test_oracle_is_monotone_and_superadditive():
@@ -56,6 +72,17 @@ def test_phi_of_one_is_four():
 def test_phi_exact_respects_cell_budget():
     assert phi_exact(1, max_cells=3) is None
     assert phi_exact(1, max_cells=4) == 4
+    for bad in (-1, ORACLE_CELL_CAP + 1):
+        with pytest.raises(ValueError):
+            phi_exact(1, max_cells=bad)
+        with pytest.raises(ValueError):
+            phi_report(1, max_cells=bad)
+
+
+def test_bounds_reject_targets_past_the_desk_cap():
+    for bound in (phi_lower_bound, phi_upper_bound, phi_report):
+        with pytest.raises(ValueError):
+            bound(PHI_N_CAP + 1)
 
 
 def test_bounds_bracket_exact_values():

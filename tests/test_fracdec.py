@@ -12,6 +12,7 @@ from latinlab.fracdec import (
     RegParams,
     TriangleSet,
     WeightFunction,
+    adjust,
     boost,
     check_conditions,
     chi_uv,
@@ -240,6 +241,38 @@ def test_weight_function_verify_catches_tampering():
     wf.vertex[0][0] += 0.5
     with pytest.raises(AssertionError):
         wf.verify()
+
+
+def test_adjust_of_clean_input_is_bit_identical():
+    wf = phi0(conforming_instance(12))
+    out = adjust(wf)
+    assert out.values.tobytes() == wf.values.tobytes()
+    out.verify()
+
+
+def _kind1_only_discrepancy():
+    # psi_e moves weight only along kind-1 edges, so kinds 0 and 2 stay
+    # clean while kind 1 does not
+    tset = conforming_instance(9)
+    values = phi0(tset).values + 0.5 * psi_e(tset, 1, 2, 5).values
+    return WeightFunction(tset, values)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: phi0(thinned_instance(8, 0.8, substream(8, 2))),
+    _kind1_only_discrepancy,
+], ids=["thinned", "kind1-only"])
+def test_adjust_subtracts_psi_edge_by_edge(make):
+    wf = make()
+    assert wf.is_vertex_balanced()
+    expected = wf.values.copy()
+    eps = 1e-12 * wf.scale()
+    for kind in range(3):
+        d = wf.disc(kind)
+        for i, j in zip(*np.nonzero(np.abs(d) > eps)):
+            expected -= d[i, j] * psi_e(wf.tset, kind, int(i), int(j)).values
+    assert wf.max_disc() > eps
+    assert np.abs(adjust(wf).values - expected).max() <= 1e-12
 
 
 def test_boost_on_conforming_instance_is_exact():
