@@ -462,8 +462,7 @@ def sphere_certificates_ok(sc: SphereCover) -> bool:
     """Both decompositions partition what they claim, at the claimed
     sizes, and the base triple is in neither."""
     q, qt = sphere_graphs(sc)
-    out = [_as_index_triangle(t) for t in sc.out_dec]
-    ind = [_as_index_triangle(t) for t in sc.in_dec]
+    out, ind = sphere_decompositions(sc)
     base = _as_index_triangle(sc.base)
     return (len(out) == 2 * sc.g - 1 and len(ind) == 2 * sc.g
             and base not in out and base not in ind

@@ -1,21 +1,28 @@
 """Exact substructure counters.
 
-Intercalates (2 x 2 Latin subsquares) are counted by one numpy kernel
-for squares, rectangles, partial systems and stacks of same-shape grids.
-A grid holds symbol n on empty cells and gets an always-empty pad column
-n; pos[row, symbol] is the column of the symbol in the row, n if absent.
-For rows i < j, sigma = pos[j][g[i]] sends each column to the column of
-row j holding the same symbol (n if none), and each 2-cycle of sigma is
-one intercalate on that row pair.  O(k^2 n) per grid.
+Intercalates (2 x 2 Latin subsquares) and cuboctahedron totals are
+counted by numpy kernels on the symbol grid of a square, rectangle or
+partial system.  A grid holds symbol n on empty cells and gets an
+always-empty pad column n; pos[row, symbol] is the column of the symbol
+in the row, n if absent.  For rows i < j, sigma = pos[j][g[i]] sends
+each column to the column of row j holding the same symbol (n if none),
+and each 2-cycle of sigma is one intercalate on that row pair.
+O(k^2 n) per grid, for a stack of same-shape grids at once.
 
 A cuboctahedron is an ordered pair of quadruples (r1, r2, c1, c2) and
 (r1', r2', c1', c2') whose 2 x 2 symbol patterns agree position by
 position; degenerate coincidences (equal rows, equal columns, repeated
 symbols, shared cells) are allowed.  The total count is sum of class^2
-over quadruples grouped by shape and pattern; group tables hit exactly
-n^5 by the quadrangle condition.  Nondegenerate copies (four distinct
-rows, columns and symbols) are the same-pattern pairs that share no row
-or column.
+over quadruples grouped by pattern (a, b, c, d), which in a Latin grid
+fixes the shape (a = c exactly when r1 = r2, a = b when c1 = c2); group
+tables hit exactly n^5 by the quadrangle condition.  For each symbol a,
+one bincount of the keys b n^2 + c n + d over (r1, r2, c2), with
+c1 = pos[r1, a], gives its classes; a digit of an empty cell is n^3,
+which keys the quadruple out of the first n^3 bins.  This is O(k^2 n^2)
+for k rows whatever the fill, so desk-capped at n <= 64;
+cuboctahedron_report(obj).total counts without the cap.  Nondegenerate
+copies (four distinct rows, columns and symbols) are the same-pattern
+pairs that share no row or column.
 
 The proper quadruples (r1 != r2, c1 != c2) are enumerated once per
 filled 2 x 2 submatrix, with r1 < r2 and c1 < c2: the cell pairs that
@@ -79,7 +86,7 @@ DEGENERACY_LABELS = (
 
 
 # ---------------------------------------------------------------------------
-# intercalates
+# grid kernels: intercalates and cuboctahedron totals
 
 
 def count_intercalates(obj) -> int:
@@ -102,19 +109,27 @@ def _symbol_grid(obj) -> np.ndarray:
         _require_latin(obj)
         grid = obj.cell_grid()
         return np.where(grid < 0, obj.n, grid)
-    raise TypeError(f"cannot count intercalates of {type(obj).__name__}")
+    raise TypeError(f"no symbol grid for {type(obj).__name__}")
+
+
+def _padded(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grids with pad column n, and their pos tables."""
+    n = grids.shape[-1]
+    g = np.full((*grids.shape[:-1], n + 1), n, dtype=np.intp)
+    g[..., :n] = grids
+    pos = np.full_like(g, n)
+    np.put_along_axis(pos, g, np.broadcast_to(np.arange(n + 1), g.shape),
+                      axis=-1)
+    pos[..., n] = n  # every empty cell wrote its column here
+    return g, pos
 
 
 def _intercalates(grids: np.ndarray) -> np.ndarray:
     """Intercalates of each grid of a (b, k, n) stack of symbol grids,
     taking the (grid, row pair) items in blocks of about 2^16 entries."""
     b, k, n = grids.shape
-    g = np.full((b, k, n + 1), n, dtype=np.intp)
-    g[..., :n] = grids
+    g, pos = _padded(grids)
     cols = np.arange(n + 1)
-    pos = np.full_like(g, n)
-    np.put_along_axis(pos, g, np.broadcast_to(cols, g.shape), axis=2)
-    pos[..., n] = n  # every empty cell wrote its column here
     top, bottom = np.triu_indices(k, 1)
     items = b * len(top)
     out = np.zeros(b, dtype=np.int64)
@@ -129,8 +144,35 @@ def _intercalates(grids: np.ndarray) -> np.ndarray:
     return out // 2
 
 
+def count_cuboctahedra_total(obj) -> int:
+    """Ordered same-pattern quadruple pairs, degeneracies included.
+
+    Desk-capped at n <= 64 for every input, as the cost does not shrink
+    with the fill; ``cuboctahedron_report(obj).total`` has no cap."""
+    grid = _symbol_grid(obj)
+    n = grid.shape[1]
+    if n > 64:
+        raise InputError("cuboctahedron totals are desk-capped at n <= 64; "
+                         "cuboctahedron_report(obj).total has no cap")
+    g, col_of = _padded(grid)
+    # digit tables, n^3 on empty cells (the symbol n gives b n^2 = n^3)
+    n3 = n**3
+    empty = g == n
+    hi = g[:, :n] * (n * n)
+    mid = np.where(empty, n3, g * n)
+    lo = np.where(empty, n3, g)[:, :n]
+    # L[r1][c2] n^2 + L[r2][c2] at [r1, r2, c2]; L[r2][c1] n goes between
+    right = hi[:, None, :] + lo[None, :, :]
+    total = 0
+    for a in range(n):
+        left = mid[:, col_of[:, a]].T[:, :, None]
+        m = np.bincount((right + left).ravel(), minlength=n3)[:n3]
+        total += int(m @ m)
+    return total
+
+
 # ---------------------------------------------------------------------------
-# quadruple enumeration shared by the cuboctahedron counters
+# quadruple enumeration shared by the nondegenerate count and the report
 
 
 def _require_latin(ts: TripleSystem) -> None:
@@ -231,39 +273,6 @@ def _orientations(q: np.ndarray) -> np.ndarray:
     return np.concatenate((q, rows, q[_COL_SWAP], rows[_COL_SWAP]), axis=1)
 
 
-# ---------------------------------------------------------------------------
-# totals
-
-
-def count_cuboctahedra_total(obj) -> int:
-    """Ordered same-pattern quadruple pairs, degeneracies included."""
-    if isinstance(obj, LatinSquare):
-        return _total_dense(obj)
-    return _total_generic(obj)
-
-
-def _total_dense(sq: LatinSquare) -> int:
-    # Kept beside _total_generic for full squares, where it is several
-    # times faster (timings in CHANGES.md); partial inputs have no grid
-    # and take the generic path.  The quadruples whose (r1, c1) entry is
-    # the symbol a are the triples (r1, r2, c2) with c1 the column of a
-    # in row r1, so each block of n^3 pattern keys is counted by
-    # bincount.
-    n = sq.n
-    if n > 64:
-        raise InputError("dense cuboctahedron totals are desk-capped at n <= 64")
-    g = sq.grid.astype(np.int64)
-    col_of = np.argsort(g, axis=1)
-    # L[r1][c2] n^2 + L[r2][c2] at [r1, r2, c2]; L[r2][c1] n goes between
-    right = g[:, None, :] * (n * n) + g[None, :, :]
-    total = 0
-    for a in range(n):
-        left = g[:, col_of[:, a]].T[:, :, None] * n
-        m = np.bincount((right + left).ravel(), minlength=n**3)
-        total += int(m @ m)
-    return total
-
-
 def _group_square_sum(keys: np.ndarray) -> tuple[int, int]:
     """(sum of class^2, sum of class) over records grouped by key."""
     if len(keys) == 0:
@@ -287,18 +296,6 @@ def _collapsed_shapes(cells, col_pairs) -> list[tuple[int, int]]:
 
     return [_group_square_sum(syms), both_ways(*col_pairs),
             both_ways(*_pairs_in_groups(rows))]
-
-
-def _total_generic(obj) -> int:
-    cells = _cells_of(obj)
-    n = cells[3]
-    col_pairs = _column_pairs(cells)
-    q = _proper_quadruples(cells, col_pairs)
-    distinct = _distinct_symbols(q)
-    canon, _ = _group_square_sum(_canonical_keys(q[:, distinct], n))
-    rep, _ = _group_square_sum(_pattern_keys(_orientations(q[:, ~distinct]), n))
-    return (4 * canon + rep
-            + sum(sq for sq, _ in _collapsed_shapes(cells, col_pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +454,7 @@ def count_subsquares(square: LatinSquare, k: int) -> int:
         raise InputError("subsquare counting is desk-capped at n <= 40")
     if k == 2:
         return count_intercalates(square)
-    g = square.grid.astype(np.intp)
-    pos = np.argsort(g, axis=1)  # pos[row, symbol] = column
+    g, pos = _padded(square.grid)
 
     def cycles_of(i: int, j: int):
         sigma = pos[j][g[i]].tolist()

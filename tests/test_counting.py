@@ -27,8 +27,6 @@ from latinlab.counting import (
     _cells_of,
     _column_pairs,
     _proper_quadruples,
-    _total_dense,
-    _total_generic,
     count_cuboctahedra_nondegenerate,
     count_cuboctahedra_total,
     count_intercalates,
@@ -69,18 +67,38 @@ def test_cyclic_table_total_is_n_fifth():
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
-def test_dense_total_matches_brute(n, seed):
-    sq = sample_squares(n, 1, RandomStream(seed))[0]
-    assert _total_dense(sq) == brute_total(sq)
+def test_total_matches_brute(n, seed):
+    # one kernel for a square, a row prefix as a rectangle and a shuffled
+    # partial prefix, whose empty cells must all key out of range
+    rng = RandomStream(seed)
+    sq = sample_squares(n, 1, rng)[0]
+    rect = restrict_rows(sq, 1 + rng.randrange(n))
+    full = list(to_triples(sq).triples)
+    partial = TripleSystem(n, rng.shuffled(full)[: rng.randrange(n * n + 1)])
+    for obj in (sq, rect, partial):
+        total = count_cuboctahedra_total(obj)
+        assert type(total) is int
+        assert total == brute_total(obj)
 
 
-def test_dense_total_matches_generic_at_larger_orders():
+def test_total_matches_report_at_larger_orders():
     rng = RandomStream(29)
-    for n in (16, 24, 32):
-        sq = sample_squares(n, 1, rng)[0]
-        assert _total_dense(sq) == _total_generic(sq)
-    total = _total_dense(group_table("cyclic", 64))
+    objs = [sample_squares(n, 1, rng)[0] for n in (16, 24, 32)]
+    objs.append(collision_filter(sample_sparse_system(48, 0.35, rng)))
+    for obj in objs:
+        assert count_cuboctahedra_total(obj) == cuboctahedron_report(obj).total
+    total = count_cuboctahedra_total(group_table("cyclic", 64))
     assert total == 64**5 and type(total) is int
+
+
+def test_total_cap_points_to_the_report():
+    # one intercalate and a far cell: tiny, but n = 65 is over the cap
+    ts = TripleSystem(65, [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0),
+                           (64, 64, 64)])
+    route = r"cuboctahedron_report\(obj\)\.total"
+    with pytest.raises(InputError, match=route):
+        count_cuboctahedra_total(ts)
+    assert cuboctahedron_report(ts).total == brute_total(ts) == 33
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,6 +1,7 @@
 """The cell-count oracle and the growth-rate bounds."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -96,10 +97,21 @@ def test_bounds_bracket_exact_values():
 
 
 def test_upper_bound_witness_carries_enough_intercalates():
-    for N in (1, 2, 5, 12, 40):
+    # the witness is one or two disjoint XOR blocks; a block of order m
+    # has m rows of m cells and m^2 (m - 1) / 4 intercalates
+    block_counts = set()
+    for N in [*range(1, 301), 7950, 10**4, 64513, 10**5]:
         upper, witness = phi_upper_bound(N)
         assert len(witness.triples) == upper
-        assert count_intercalates(witness) >= N
+        assert validate(witness)
+        fills = Counter(Counter(r for r, _, _ in witness.triples).values())
+        assert all(m & (m - 1) == 0 and rows % m == 0
+                   for m, rows in fills.items())
+        blocks = sum(rows // m for m, rows in fills.items())
+        closed = sum(rows * m * (m - 1) // 4 for m, rows in fills.items())
+        assert count_intercalates(witness) == closed >= N
+        block_counts.add(blocks)
+    assert block_counts == {1, 2}
 
 
 def test_report_is_internally_consistent():
