@@ -25,23 +25,35 @@ copies (four distinct rows, columns and symbols) are the same-pattern
 pairs that share no row or column.
 
 The proper quadruples (r1 != r2, c1 != c2) are enumerated once per
-filled 2 x 2 submatrix, with r1 < r2 and c1 < c2: the cell pairs that
-share a column, then the pairs of those on a common row pair.  Each
+filled 2 x 2 submatrix: the cell pairs that share a column, then the
+pairs of those on a common row pair.  Each step sorts its group keys
+(the column, the row pair) stably, as uint16 when below 2^16 so that
+numpy sorts them by radix, and lists each group's pairs by offset: for
+k = 1, 2, ... the sorted positions i whose group still holds at i + k.
+The cells are in row-major order, so a column pair has r1 < r2.  Each
 submatrix stands for four ordered quadruples, one per row order and
 column order.  When its four symbols are distinct, these four have four
 different patterns, so every ordered class is one of four equal-size
 images of a canonical class, whose members are turned so that the
 smallest symbol sits at (r1, c1); sum m, sum m^2 and the nondegenerate
 pair count over the ordered classes are exactly 4 times their canonical
-values.  In a canonical class the Latin property makes each of r1, r2,
-c1, c2 determine the member, so every row or column coincidence pins a
-unique partner, found for all classes at once by sorted lookups of
-(class, coordinate); no loop runs over the classes.  A pattern with a
-repeated symbol can be fixed by a swap (an intercalate is fixed by
-swapping both rows and columns), so those submatrices are expanded into
-their four ordered quadruples and grouped as they are.  The collapsed
-1 x 1, 2 x 1 and 1 x 2 shapes are keyed by their symbols, the cell pairs
-on a line taken in both orders.
+values.  The canonical key of a submatrix comes from the vertical
+dominoes of its column pairs P and Q, v = top n + bottom and
+w = bottom n + top: the least of v_P n^2 + v_Q, v_Q n^2 + v_P,
+w_P n^2 + w_Q and w_Q n^2 + w_P.  In a sparse system almost every class
+is a singleton, which adds nothing to sum m(m - 1), so only the
+submatrices whose key repeats are built as records and filtered for
+distinct symbols; sum m is 4 times the number of distinct-symbol
+submatrices, and sum m^2 is sum m plus 4 times sum m(m - 1) over the
+canonical classes.  In a canonical class the Latin property makes each
+of r1, r2, c1, c2 determine the member, so every row or column
+coincidence pins a unique partner, found for all classes at once by
+sorted lookups of (class, coordinate); no loop runs over the classes.
+A pattern with a repeated symbol can be fixed by a swap (an intercalate
+is fixed by swapping both rows and columns), so those submatrices are
+expanded into their four ordered quadruples and grouped as they are.
+The collapsed 1 x 1, 2 x 1 and 1 x 2 shapes are keyed by their symbols,
+the cell pairs on a line taken in both orders.
 
 Girth here is the triple-system girth: the smallest g > 3 such that some
 g vertices of the tripartite vertex set span g - 2 triples.  Girth
@@ -191,24 +203,27 @@ def _cells_of(obj) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     return (*obj.array.T, obj.n)
 
 
-def _pairs_in_groups(keys: np.ndarray, span: int = 1):
-    """Index pairs (P, Q) of the records in a common group, each
-    unordered pair once.
+def _same_group_pairs(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (P, Q), P < Q, of the records with equal nonnegative
+    group keys, each unordered pair once.
 
-    A record's group is ``keys // span``.  With distinct keys the pairs
-    come out ordered, keys[P] < keys[Q].
+    A stable sort keeps each group's records in their input order; keys
+    below 2^16 go through it as uint16, which numpy sorts by radix.  The
+    pairs are then listed by offset: for k = 1, 2, ... the sorted
+    positions i with the same group at i + k, until there are none.
     """
-    order = np.argsort(keys)
-    groups = keys[order] // span
-    m = len(groups)
-    starts = np.flatnonzero(np.concatenate(([True], groups[1:] != groups[:-1])))
-    sizes = np.diff(np.append(starts, m))
-    # sorted position k pairs with the rest of its group after it
-    later = np.repeat(starts + sizes, sizes) - np.arange(m) - 1
-    i = np.repeat(np.arange(m), later)
-    first = np.repeat(np.cumsum(later) - later, later)
-    j = i + 1 + np.arange(len(i)) - first
-    return order[i], order[j]
+    if len(groups) and groups.max() < 2**16:
+        groups = groups.astype(np.uint16)
+    order = np.argsort(groups, kind="stable")
+    groups = groups[order]
+    P, Q = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for k in range(1, len(groups)):
+        i = np.flatnonzero(groups[k:] == groups[:-k])
+        if not len(i):
+            break
+        P.append(order[i])
+        Q.append(order[i + k])
+    return np.concatenate(P), np.concatenate(Q)
 
 
 # rows of a quadruple record array: rows r1, r2, columns c1, c2 and the
@@ -219,19 +234,29 @@ _COL_SWAP = [_R1, _R2, _C2, _C1, _B, _A, _D, _C]
 
 
 def _column_pairs(cells):
-    """Cell index pairs (P, Q) sharing a column, rows[P] < rows[Q]."""
-    rows, cols, _, n = cells
-    return _pairs_in_groups(cols * n + rows, n)
+    """Cell index pairs (P, Q) sharing a column, rows[P] < rows[Q], as
+    the cells are in row-major order."""
+    return _same_group_pairs(cells[1])
 
 
-def _proper_quadruples(cells, col_pairs) -> np.ndarray:
-    """Every 2 x 2 submatrix with four filled cells, once, as an 8-row
-    record array with r1 < r2 and c1 < c2; ``col_pairs`` comes from
-    ``_column_pairs(cells)``."""
-    rows, cols, syms, n = cells
+def _quadruple_pairs(cells, col_pairs):
+    """Index pairs (P, Q) into ``col_pairs`` of two column pairs on one
+    row pair: every 2 x 2 submatrix with four filled cells, once."""
+    rows, n = cells[0], cells[3]
     top, bottom = col_pairs
-    # two column pairs on one row pair, the left one first
-    P, Q = _pairs_in_groups((rows[top] * n + rows[bottom]) * n + cols[top], n)
+    return _same_group_pairs(rows[top] * n + rows[bottom])
+
+
+def _proper_quadruples(cells, col_pairs, quads=None) -> np.ndarray:
+    """The 8-row record array, r1 < r2 and c1 < c2, of the quadruples
+    ``quads`` of ``_quadruple_pairs``, by default all of them: every
+    2 x 2 submatrix with four filled cells, once.  ``col_pairs`` comes
+    from ``_column_pairs(cells)``."""
+    rows, cols, syms, _ = cells
+    top, bottom = col_pairs
+    P, Q = _quadruple_pairs(cells, col_pairs) if quads is None else quads
+    left = cols[top[P]] < cols[top[Q]]
+    P, Q = np.where(left, P, Q), np.where(left, Q, P)
     a, b, c, d = top[P], top[Q], bottom[P], bottom[Q]
     return np.stack((rows[a], rows[c], cols[a], cols[b],
                      syms[a], syms[b], syms[c], syms[d]))
@@ -244,17 +269,6 @@ def _pattern_keys(q: np.ndarray, n: int) -> np.ndarray:
 def _distinct_symbols(q: np.ndarray) -> np.ndarray:
     # a != b, a != c, b != d and c != d already hold by the Latin property
     return (q[_A] != q[_D]) & (q[_B] != q[_C])
-
-
-def _canonical_keys(q: np.ndarray, n: int) -> np.ndarray:
-    """Pattern keys of distinct-symbol records in canonical orientation,
-    the one with the smallest symbol at a.  Symbol a leads the key, so
-    that is the least of the four orientation keys."""
-    a, b, c, d = q[_A:]
-    ab, cd, ba, dc = a * n + b, c * n + d, b * n + a, d * n + c
-    n2 = n * n
-    return np.minimum(np.minimum(ab * n2 + cd, cd * n2 + ab),
-                      np.minimum(ba * n2 + dc, dc * n2 + ba))
 
 
 def _canonical(q: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -295,7 +309,7 @@ def _collapsed_shapes(cells, col_pairs) -> list[tuple[int, int]]:
         return _group_square_sum(np.concatenate((x * n + y, y * n + x)))
 
     return [_group_square_sum(syms), both_ways(*col_pairs),
-            both_ways(*_pairs_in_groups(rows))]
+            both_ways(*_same_group_pairs(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -317,28 +331,47 @@ def _partners(cls, src, dst, n):
     return i, order[pos[i]]
 
 
-def _distinct_class_sums(q: np.ndarray, n: int) -> tuple[int, int, int]:
-    """(sum m, sum m^2, nondegenerate pairs) over the ordered
+def _distinct_class_sums(cells, col_pairs, quads) -> tuple[int, int]:
+    """(sum m(m - 1), nondegenerate pairs) over the ordered
     distinct-symbol pattern classes, m being the size of a class, from
-    the distinct-symbol records q, one per submatrix.
+    the quadruples ``quads`` of ``_quadruple_pairs``.
 
     Each ordered class is one of four equal images of a canonical class,
-    so every sum is four times its canonical value.  In a canonical
-    class each of r1, r2, c1, c2 determines the member, so a pair of
-    distinct members shares a row exactly when r1' = r2 (event E1) or
-    r2' = r1 (E2), and a column exactly when c1' = c2 (F1) or c2' = c1
-    (F2).  E2 and F2 are the transposes of E1 and F1, and the pairs
-    sharing a row or column are the union of the four.
+    so every sum is four times its canonical value.  The domino key of a
+    quadruple is the least, over its four orientations, of the pattern
+    key with the digits in the order (a, c, b, d); a least element names
+    its orbit, so the classes are those of the pattern.  Singleton
+    classes add nothing, so only the records whose key repeats are built
+    and filtered for distinct symbols.
+
+    In a canonical class each of r1, r2, c1, c2 determines the member,
+    so a pair of distinct members shares a row exactly when r1' = r2
+    (event E1) or r2' = r1 (E2), and a column exactly when c1' = c2 (F1)
+    or c2' = c1 (F2).  E2 and F2 are the transposes of E1 and F1, and
+    the pairs sharing a row or column are the union of the four.
     """
-    _, cls, sizes = np.unique(
-        _canonical_keys(q, n), return_inverse=True, return_counts=True
-    )
-    sum_m = int(sizes.sum())
-    sum_m2 = int((sizes.astype(np.int64) ** 2).sum())
-    # singleton classes have no pair besides the diagonal
-    multi = sizes[cls] > 1
-    cls = cls[multi]
-    R1, R2, C1, C2 = _canonical(q[:, multi])
+    syms, n = cells[2], cells[3]
+    top, bottom = col_pairs
+    P, Q = quads
+    n2 = n * n
+    hi, lo = syms[top], syms[bottom]
+    keys = []
+    for v in (hi * n + lo, lo * n + hi):
+        # the lesser of v_P n^2 + v_Q and v_Q n^2 + v_P; the leading
+        # digits of v_P and v_Q share a row, so they differ
+        vP, vQ = v[P], v[Q]
+        keys.append(np.minimum(vP, vQ) * n2 + np.maximum(vP, vQ))
+    keys = np.minimum(*keys)
+    ordered = np.sort(keys)
+    repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+    keep = np.flatnonzero(np.isin(keys, repeats))
+    q = _proper_quadruples(cells, col_pairs, (P[keep], Q[keep]))
+    distinct = _distinct_symbols(q)
+    q = q[:, distinct]
+    _, cls, sizes = np.unique(keys[keep][distinct], return_inverse=True,
+                              return_counts=True)
+    pairs = int((sizes * (sizes - 1)).sum())
+    R1, R2, C1, C2 = _canonical(q)
     m = len(cls)
     e_i, e_j = _partners(cls, R1, R2, n)
     f_i, f_j = _partners(cls, C1, C2, n)
@@ -347,14 +380,15 @@ def _distinct_class_sums(q: np.ndarray, n: int) -> tuple[int, int, int]:
         (e_i * m + e_j, e_j * m + e_i, f_i * m + f_j, f_j * m + f_i)
     ))
     shared = len(sharing) and 1 + int(np.count_nonzero(np.diff(sharing)))
-    return 4 * sum_m, 4 * sum_m2, 4 * (sum_m2 - sum_m - shared)
+    return 4 * pairs, 4 * (pairs - shared)
 
 
 def count_cuboctahedra_nondegenerate(obj) -> int:
     """Same-pattern quadruple pairs with 4 distinct rows, columns, symbols."""
     cells = _cells_of(obj)
-    q = _proper_quadruples(cells, _column_pairs(cells))
-    return _distinct_class_sums(q[:, _distinct_symbols(q)], cells[3])[2]
+    col_pairs = _column_pairs(cells)
+    return _distinct_class_sums(cells, col_pairs,
+                                _quadruple_pairs(cells, col_pairs))[1]
 
 
 def _ordered_pairs(keys: np.ndarray) -> int:
@@ -406,7 +440,8 @@ def cuboctahedron_report(obj) -> CuboctahedronReport:
         out[twice] = lin
         out[pairs] = sq - lin
 
-    q = _proper_quadruples(cells, col_pairs)
+    quads = _quadruple_pairs(cells, col_pairs)
+    q = _proper_quadruples(cells, col_pairs, quads)
     distinct = _distinct_symbols(q)
     rep = _orientations(q[:, ~distinct])
     R1, R2, C1, C2 = rep[:4]
@@ -426,10 +461,10 @@ def cuboctahedron_report(obj) -> CuboctahedronReport:
     out["opposite-face-overlap"] = one_cell
     out["repeated-symbol-other"] = _ordered_pairs(cls) - one_cell
 
-    q = q[:, distinct]  # frees the full record array before the peak step
-    sum_m, sum_m2, nondeg = _distinct_class_sums(q, n)
-    out["same-2x2-distinct-symbols"] = sum_m
-    out["row-or-column-sharing"] = sum_m2 - sum_m - nondeg
+    out["same-2x2-distinct-symbols"] = 4 * int(np.count_nonzero(distinct))
+    del q  # frees the full record array before the class step
+    pairs, nondeg = _distinct_class_sums(cells, col_pairs, quads)
+    out["row-or-column-sharing"] = pairs - nondeg
 
     total = nondeg + sum(out.values())
     return CuboctahedronReport(n=n, total=total, nondegenerate=nondeg, breakdown=out)

@@ -369,13 +369,17 @@ def sample_sparse_system(n: int, alpha: float, rng: RandomStream) -> TripleSyste
 
 def collision_filter(ts: TripleSystem) -> TripleSystem:
     """Delete, simultaneously, every triple that agrees with another in
-    at least two coordinates.  The survivors form a partial Latin square."""
+    at least two coordinates.  The survivors form a partial Latin square.
+    A coordinate outside range(n) raises InputError, as its key r n + c
+    would alias another pair's."""
     if len(ts) == 0:
         return ts
     arr, n = ts.array, ts.n
+    if arr.min() < 0 or arr.max() >= n:
+        t = arr[np.argmax(((arr < 0) | (arr >= n)).any(axis=1))]
+        raise InputError(f"coordinate out of range in {tuple(t.tolist())}")
     keep = np.ones(len(arr), dtype=bool)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         key = arr[:, i] * n + arr[:, j]
-        _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
-        keep &= counts[inverse] == 1
+        keep &= np.bincount(key)[key] == 1
     return TripleSystem.from_array(n, arr[keep])

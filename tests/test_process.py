@@ -207,3 +207,26 @@ def test_collision_filter_removes_all_of_each_collision():
     ts = TripleSystem(3, [(0, 0, 0), (0, 0, 1), (1, 1, 1), (2, 2, 2)])
     filtered = collision_filter(ts)
     assert filtered.triples == ((1, 1, 1), (2, 2, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, n - 1)] * 3),
+                         max_size=3 * n * n))))
+def test_collision_filter_matches_the_pairwise_rule(case):
+    n, triples = case
+    ts = TripleSystem(n, triples)
+    # kept: no other triple agrees with it in two or more coordinates
+    kept = [t for t in ts.triples
+            if not any(sum(x == y for x, y in zip(t, u)) >= 2
+                       for u in ts.triples if u != t)]
+    assert collision_filter(ts).triples == tuple(kept)
+
+
+@pytest.mark.parametrize("triples", [
+    [(0, 3, 0), (1, 0, 1)],   # (0, 3) would key as (1, 0): r n + c = 3
+    [(0, 0, 0), (0, 1, -1)],
+])
+def test_collision_filter_rejects_out_of_range_coordinates(triples):
+    with pytest.raises(InputError, match="out of range"):
+        collision_filter(TripleSystem(3, triples))
