@@ -219,10 +219,12 @@ class PathCover:
         return bins[ptype].pop()
 
     def available(self, part: int, u: int, v: int) -> int:
+        """Paths of each type left for the pair; 0 if it is no
+        same-part pair of X."""
         if u > v:
             u, v = v, u
-        bins = self.paths[part, u, v]
-        return min(len(bins[0]), len(bins[1]))
+        bins = self.paths.get((part, u, v))
+        return 0 if bins is None else min(len(bins[0]), len(bins[1]))
 
     def leftover_six_cycles(self) -> list[list[Vertex]]:
         """Pair unused opposite-type paths into tripartite 6-cycles."""
@@ -253,17 +255,14 @@ def shorten_cycles(cycles: list[list[Vertex]],
             continue
         length = len(cyc)
         # cut across the registry pair with most paths left; spliced-in
-        # interior vertices are not registry pairs and are skipped
-        best, best_avail = None, -1
+        # interior vertices are not registry pairs and have none
+        best, best_avail = 0, 0
         for i in range(length):
             (part, a), (_, b) = cyc[i], cyc[(i + 6) % length]
-            bins = cover.paths.get((part, min(a, b), max(a, b)))
-            if bins is None:
-                continue
-            avail = min(len(bins[0]), len(bins[1]))
+            avail = cover.available(part, a, b)
             if avail > best_avail:
                 best, best_avail = i, avail
-        if best is None or best_avail == 0:
+        if best_avail == 0:
             raise RegistryExhausted("no distance-6 cut has paths left")
         i = best
         seg = [cyc[(i + k) % length] for k in range(7)]

@@ -356,10 +356,19 @@ def _validate_triples(ts: TripleSystem) -> ValidityReport:
     return ValidityReport(False, f"column {c} repeats symbol {s}", (c, s))
 
 
+def stable_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sorting permutation of integer ``keys`` and the keys in
+    that order.  Keys in 0..2^16-1 are sorted as uint16, which numpy
+    sorts by radix; equal keys keep their input order either way."""
+    if len(keys) and keys.min() >= 0 and keys.max() < 2**16:
+        keys = keys.astype(np.uint16)
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
+
+
 def _repeats(keys: np.ndarray) -> np.ndarray:
     """Mask of the entries whose key appears at an earlier index."""
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
+    order, sk = stable_sort(keys)
     out = np.zeros(len(keys), dtype=bool)
     out[order[1:][sk[1:] == sk[:-1]]] = True
     return out

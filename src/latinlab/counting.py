@@ -78,6 +78,7 @@ from .core import (
     LatinRectangle,
     LatinSquare,
     TripleSystem,
+    stable_sort,
     to_triples,
     validate,
 )
@@ -207,15 +208,11 @@ def _same_group_pairs(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (P, Q), P < Q, of the records with equal nonnegative
     group keys, each unordered pair once.
 
-    A stable sort keeps each group's records in their input order; keys
-    below 2^16 go through it as uint16, which numpy sorts by radix.  The
+    A stable sort keeps each group's records in their input order.  The
     pairs are then listed by offset: for k = 1, 2, ... the sorted
     positions i with the same group at i + k, until there are none.
     """
-    if len(groups) and groups.max() < 2**16:
-        groups = groups.astype(np.uint16)
-    order = np.argsort(groups, kind="stable")
-    groups = groups[order]
+    order, groups = stable_sort(groups)
     P, Q = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for k in range(1, len(groups)):
         i = np.flatnonzero(groups[k:] == groups[:-k])

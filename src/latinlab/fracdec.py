@@ -17,11 +17,12 @@ every psi_{J,e} has identically zero vertex weights, so the adjustment
 map A(phi) = phi - sum_e phi^disc(e) psi_e preserves vertex balance
 exactly while cancelling edge discrepancies to first order.
 
-Cycle enumeration is exact: the 6-cycles through e = (a1, b1) are in
-bijection with ordered tuples (a2, b2, a3, b3) of distinct vertices
-avoiding a1, b1, giving (n-1)^2 (n-2)^2 cycles per edge in the complete
-case.  Apex sets are intersected through 64-bit masks, so hosts are
-capped at part size 64, which covers the desk regime.
+The 6-cycles through e = (a1, b1) are the ordered tails (a2, b2, a3,
+b3) with a2, a3 distinct and avoiding a1 and b2, b3 distinct and
+avoiding b1, (n-1)^2 (n-2)^2 per edge in the complete case.  psi_e
+works on all of them at once, as one dense n^4 grid of common apex
+sets per edge; apex sets are intersected through 64-bit masks, so
+hosts are capped at part size 64, which covers the desk regime.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .core import InputError, TripartiteGraph
 from .rng import RandomStream
 
 MASK_CAP = 64
-# cycle rows held at once by the psi accumulation, which keeps memory flat
-ROWS_CAP = 2_000_000
 # relative tolerance of the vertex-balance precondition of adjust
 BALANCE_REL = 1e-9
 # random vertex and edge sets drawn per size in conditions (2) and (3)
@@ -71,7 +70,7 @@ class TriangleSet:
     """
 
     __slots__ = ("host", "n", "tris", "id3", "apex_masks", "edge_counts",
-                 "vertex_counts", "deg", "edges_per_pair", "_cycle_cache")
+                 "vertex_counts", "deg", "edges_per_pair")
 
     def __init__(self, host: TripartiteGraph, triangles):
         n1, n2, n3 = host.parts
@@ -119,7 +118,6 @@ class TriangleSet:
         self.deg = deg
         self.edges_per_pair = tuple(
             int(a.sum()) for a in (host.adj12, host.adj23, host.adj31))
-        self._cycle_cache = None
 
     def __len__(self) -> int:
         return len(self.tris)
@@ -136,22 +134,6 @@ class TriangleSet:
 
     def subset(self, keep) -> "TriangleSet":
         return TriangleSet(self.host, self.tris[np.asarray(keep)])
-
-    def _canonical_cycle_tuples(self):
-        # ordered distinct pairs over [0, n-2]; skip-mapped per edge
-        if self._cycle_cache is None:
-            n = self.n
-            r = np.arange(n - 1, dtype=np.int64)
-            x, y = np.meshgrid(r, r, indexing="ij")
-            keep = x != y
-            pa, pb = x[keep], y[keep]
-            npairs = len(pa)
-            a2 = np.repeat(pa, npairs)
-            a3 = np.repeat(pb, npairs)
-            b2 = np.tile(pa, npairs)
-            b3 = np.tile(pb, npairs)
-            self._cycle_cache = (a2, a3, b2, b3)
-        return self._cycle_cache
 
 
 def complete_host(n: int) -> TripartiteGraph:
@@ -234,6 +216,16 @@ class WeightFunction:
             assert np.abs(fresh.edge[k] - self.edge[k]).max() <= tol
 
 
+def _check_indices(tset: TriangleSet, name: str, k, *vertices) -> None:
+    """Reject a kind or part outside 0..2 and a vertex outside range(n),
+    which numpy indexing would wrap or turn into an IndexError."""
+    if k not in (0, 1, 2):
+        raise ValueError(f"{name} must be 0, 1 or 2, got {k}")
+    for v in vertices:
+        if not 0 <= v < tset.n:
+            raise ValueError(f"vertex {v} out of range")
+
+
 def _chi_uv_raw(tset: TriangleSet, part: int, u: int, v: int) -> np.ndarray:
     if u == v:
         raise ValueError("need two distinct vertices")
@@ -254,6 +246,7 @@ def chi_uv(tset: TriangleSet, part: int, u: int, v: int) -> WeightFunction:
     """chi_{u,v}: average of the two triangle stars of each K_{2,1,1}
     through same-part vertices u, v.  Vertex weights are +1 at u, -1 at
     v, zero elsewhere."""
+    _check_indices(tset, "part", part, u, v)
     return WeightFunction(tset, _chi_uv_raw(tset, part, u, v))
 
 
@@ -290,14 +283,6 @@ def phi0(tset: TriangleSet) -> WeightFunction:
 # psi gadgets
 
 
-# sign of a cycle edge is (-1)^{distance to e} around the 6-cycle
-# a1 - b1 - a2 - b2 - a3 - b3 - a1 with e = (a1, b1)
-_SLOT_SIGNS = ((0, 0, +1.0), (1, 0, -1.0), (1, 2, +1.0),
-               (2, 2, -1.0), (2, 3, +1.0), (0, 3, -1.0))
-# slot spec: (a-index, b-index, sign) with a-index into (a1, a2, a3)
-# and b-index into (b1, _, b2, b3)
-
-
 def psi_cycle(tset: TriangleSet, kind: int, e: tuple[int, int],
               tail: tuple[int, int, int, int]) -> WeightFunction:
     """psi_{J,e} for the single 6-cycle J given by e = (a1, b1) and the
@@ -305,12 +290,13 @@ def psi_cycle(tset: TriangleSet, kind: int, e: tuple[int, int],
     triangles of each cycle edge f, where W is the common apex set."""
     a1, b1 = e
     a2, b2, a3, b3 = tail
+    _check_indices(tset, "kind", kind, a1, b1, a2, b2, a3, b3)
     if len({a1, a2, a3}) < 3 or len({b1, b2, b3}) < 3:
         raise ValueError("cycle vertices must be distinct per part")
     am = tset.apex_masks[kind]
-    aa = (a1, a2, a3)
-    bb = (b1, None, b2, b3)
-    edges = [(aa[ia], bb[ib], sg) for ia, ib, sg in _SLOT_SIGNS]
+    # the sign is (-1)^{distance to e} around a1 - b1 - a2 - b2 - a3 - b3
+    edges = [(a1, b1, 1.0), (a2, b1, -1.0), (a2, b2, 1.0),
+             (a3, b2, -1.0), (a3, b3, 1.0), (a1, b3, -1.0)]
     adjk = tset.adj(kind)
     w_mask = np.uint64(~np.uint64(0))
     for x, y, _ in edges:
@@ -332,55 +318,59 @@ def _accumulate_psi(tset: TriangleSet, kind: int,
                     out: np.ndarray):
     """Add sum_e coefs[e] * psi_e over the given kind-k edges into out.
 
-    Enumerates all (n-1)^2 (n-2)^2 cycle tuples per edge; the vertex
-    weights of the added function are exactly zero.
+    Each edge e = (i, j) takes one dense grid over the cycle tails
+    (a2, b2, a3, b3): the common apex mask W of the six cycle edges is
+    the AND of six broadcast n x n apex tables, zeroed unless a2, a3
+    are distinct and avoid i and b2, b3 are distinct and avoid j.  A
+    set apex bit implies the host edge, so the tails with W != 0 are
+    exactly the usable cycles, each of weight coefs[e] / cycles / |W|.
+    For every apex w, three axis sums of that weight over the cycles
+    with w in W give the w-triangles of the slots (a2, b2), (a3, b3)
+    and (a3, b2); their margins give the slots (a2, j), (i, b3) and
+    (i, j).  With the alternating slot signs these make one a x b
+    matrix holding one entry per triangle, so it is added without a
+    scatter.  Memory is O(n^4) per edge; the vertex weights of the
+    added function are zero up to rounding.
     """
     n = tset.n
-    one = np.uint64(1)
     am = tset.apex_masks[kind]
-    adjk = tset.adj(kind)
-    ca2, ca3, cb2, cb3 = tset._canonical_cycle_tuples()
-    chunk = max(1, ROWS_CAP // max(len(ca2), 1))
-
-    for lo in range(0, len(ii), chunk):
-        i = ii[lo:lo + chunk][:, None]
-        j = jj[lo:lo + chunk][:, None]
-        c = coefs[lo:lo + chunk]
-        a2 = ca2[None, :] + (ca2[None, :] >= i)
-        a3 = ca3[None, :] + (ca3[None, :] >= i)
-        b2 = cb2[None, :] + (cb2[None, :] >= j)
-        b3 = cb3[None, :] + (cb3[None, :] >= j)
-        ii_b = np.broadcast_to(i, a2.shape)
-        jj_b = np.broadcast_to(j, a2.shape)
-        valid = (adjk[a2, jj_b] & adjk[a2, b2] & adjk[a3, b2]
-                 & adjk[a3, b3] & adjk[ii_b, b3])
-        w = (am[ii_b, jj_b] & am[a2, jj_b] & am[a2, b2]
-             & am[a3, b2] & am[a3, b3] & am[ii_b, b3])
-        wc = np.bitwise_count(w).astype(np.int64)
-        valid &= wc > 0
-        nvalid = valid.sum(axis=1)
-        if (nvalid == 0).any():
-            bad = int(np.flatnonzero(nvalid == 0)[0])
+    ids = tset.id3.transpose(KIND_COLS[kind])  # axes (i, j, apex)
+    ar = np.arange(n)
+    for i, j, c in zip(ii.tolist(), jj.tolist(), coefs.tolist()):
+        # (a2, b2): am[a2, j] & am[a2, b2] & am[i, j]; (a3, b3):
+        # am[a3, b3] & am[i, b3]; (b2, a3): am[a3, b2]
+        left = am & am[:, j, None] & am[i, j]
+        right = am & am[i]
+        left[i] = left[:, j] = right[i] = right[:, j] = 0
+        w = (left[:, :, None, None] & am.T[None, :, :, None]
+             & right[None, None])
+        w[ar, :, ar] = 0   # a2 == a3
+        w[:, ar, :, ar] = 0  # b2 == b3
+        cycles = np.count_nonzero(w)
+        if cycles == 0:
             raise ValueError(
-                f"edge ({int(i[bad, 0])}, {int(j[bad, 0])}) of pair "
-                f"{KIND_NAMES[kind]} has no usable 6-cycle")
-        base = np.where(valid, (c / nvalid)[:, None] / np.maximum(wc, 1), 0.0)
-        avecs = (ii_b, a2, a3)
-        bvecs = (jj_b, None, b2, b3)
-        for ia, ib, sg in _SLOT_SIGNS:
-            x, y = avecs[ia], bvecs[ib]
-            for wbit in range(n):
-                sel = valid & ((w >> np.uint64(wbit) & one).astype(bool))
-                if not sel.any():
-                    continue
-                v1, v2, v3 = _canonical(kind, x[sel], y[sel], wbit)
-                np.add.at(out, tset.id3[v1, v2, v3], sg * base[sel])
+                f"edge ({i}, {j}) of pair {KIND_NAMES[kind]} has no "
+                "usable 6-cycle")
+        base = (c / cycles) / np.maximum(np.bitwise_count(w), 1)
+        apexes = int(am[i, j])
+        for t in (t for t in range(n) if apexes >> t & 1):
+            g = base * ((w & np.uint64(1 << t)) != 0)
+            s22 = g.sum(axis=(2, 3))  # (a2, b2)
+            h = g.sum(axis=0)         # (b2, a3, b3)
+            s33 = h.sum(axis=0)       # (a3, b3)
+            m = s22 + s33 - h.sum(axis=2).T  # minus (a3, b2)
+            m[:, j] -= s22.sum(axis=1)
+            m[i] -= s33.sum(axis=0)
+            m[i, j] += s22.sum()
+            nz = m != 0
+            out[ids[:, :, t][nz]] += m[nz]
 
 
 def psi_e(tset: TriangleSet, kind: int, i: int, j: int) -> WeightFunction:
     """psi_e: the average of psi_{J,e} over 6-cycles J through the
     kind-k edge (i, j).  Zero vertex weights exactly, and edge weight 1
     at e itself."""
+    _check_indices(tset, "kind", kind, i, j)
     if not tset.adj(kind)[i, j]:
         raise ValueError("edge not in host")
     out = np.zeros(len(tset))

@@ -1,5 +1,7 @@
 """Weight functions, the chi/psi gadgets, and the boosting loop."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,6 +234,72 @@ def test_psi_e_exact_unit_edge_weight():
     wf = psi_e(tset, 1, 2, 5)
     assert np.abs(wf.vertex).max() < 1e-9
     assert wf.edge[1][2, 5] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_psi_e_is_the_mean_of_psi_cycle():
+    # the cycle enumeration of psi_cycle is independent of the grid in
+    # psi_e; the cycles it rejects have no common apex
+    tset = thinned_instance(6, 0.7, substream(4, 3))
+    n = tset.n
+    for kind in range(3):
+        for i, j in ((0, 0), (2, 5), (5, 3)):
+            total, cycles = np.zeros(len(tset)), 0
+            for a2, a3 in itertools.permutations(set(range(n)) - {i}, 2):
+                for b2, b3 in itertools.permutations(set(range(n)) - {j}, 2):
+                    try:
+                        wf = psi_cycle(tset, kind, (i, j), (a2, b2, a3, b3))
+                    except ValueError:
+                        continue
+                    total += wf.values
+                    cycles += 1
+            assert cycles > 0
+            got = psi_e(tset, kind, i, j).values
+            assert np.abs(got - total / cycles).max() <= 1e-12
+
+
+def test_psi_e_rejects_edges_it_cannot_use():
+    host = TripartiteGraph.from_adjacency(
+        ~np.eye(4, dtype=bool), np.ones((4, 4), dtype=bool),
+        np.ones((4, 4), dtype=bool))
+    tset = all_triangles(host)
+    with pytest.raises(ValueError, match="edge not in host"):
+        psi_e(tset, 0, 2, 2)
+    # the only triangle through (0, 0) has no 6-cycle of triangles
+    lone = TriangleSet(complete_host(4), [(0, 0, 1)])
+    with pytest.raises(ValueError, match="has no usable 6-cycle"):
+        psi_e(lone, 0, 0, 0)
+
+
+def test_gadgets_reject_bad_indices():
+    # -1 would wrap to vertex n - 1 and n would raise a bare IndexError
+    tset = conforming_instance(6)
+    calls = [lambda: psi_e(tset, 1, -1, 2), lambda: psi_e(tset, 0, 1, 6),
+             lambda: chi_uv(tset, 0, -1, 5), lambda: chi_uv(tset, 2, 6, 0),
+             lambda: psi_cycle(tset, 0, (0, 1), (1, 2, 2, 6)),
+             lambda: psi_cycle(tset, 0, (-1, 1), (1, 2, 2, 3))]
+    for call in calls:
+        with pytest.raises(ValueError, match="out of range"):
+            call()
+    for kind in (-1, 3):
+        with pytest.raises(ValueError, match="must be 0, 1 or 2"):
+            psi_e(tset, kind, 1, 2)
+        with pytest.raises(ValueError, match="must be 0, 1 or 2"):
+            chi_uv(tset, kind, 1, 2)
+        with pytest.raises(ValueError, match="must be 0, 1 or 2"):
+            psi_cycle(tset, kind, (0, 1), (1, 2, 2, 3))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 8])
+def test_boost_contracts_on_hosts_that_need_adjusting(seed):
+    # over seeds 0-11 the per-step ratio of max_disc was 0.22-0.46 and
+    # the final/initial ratio 0.008-0.034; seed 8 contracts slowest
+    tset = thinned_instance(8, 0.8, substream(seed, 4))
+    res = boost(tset, RegParams(1.0, 0.8, iters=4), RandomStream(seed),
+                force=True)
+    discs = [row.max_disc for row in res.trace]
+    assert len(discs) == 5 and discs[0] > 1.0
+    assert all(b < 0.6 * a for a, b in zip(discs, discs[1:]))
+    assert discs[-1] < 0.05 * discs[0]
 
 
 def test_weight_function_verify_catches_tampering():
