@@ -207,13 +207,20 @@ class WeightFunction:
         return self.vertex_residual() <= rel * self.scale()
 
     def verify(self, rel: float = 1e-9) -> None:
-        """Caches must equal a from-scratch recomputation."""
+        """Caches must equal a from-scratch recomputation; raises
+        AssertionError naming the first cache that does not, also under
+        ``python -O``."""
         tol = rel * max(np.abs(self.values).max(), 1.0) * max(len(self.tset), 1)
         fresh = WeightFunction(self.tset, self.values.copy())
-        assert abs(fresh.total - self.total) <= tol
-        assert np.abs(fresh.vertex - self.vertex).max() <= tol
-        for k in range(3):
-            assert np.abs(fresh.edge[k] - self.edge[k]).max() <= tol
+        gaps = [("total", abs(fresh.total - self.total)),
+                ("vertex", np.abs(fresh.vertex - self.vertex).max())]
+        gaps += [(f"edge {KIND_NAMES[k]}",
+                  np.abs(fresh.edge[k] - self.edge[k]).max())
+                 for k in range(3)]
+        for name, gap in gaps:
+            if not gap <= tol:  # a NaN gap fails too
+                raise AssertionError(
+                    f"{name} cache off by {float(gap)} > {tol}")
 
 
 def _check_indices(tset: TriangleSet, name: str, k, *vertices) -> None:
@@ -256,26 +263,38 @@ def part_imbalance(tset: TriangleSet, part: int) -> np.ndarray:
             - 3.0 * tset.deg[part] * len(tset) / (2.0 * tset.edge_total))
 
 
-def chi_part(tset: TriangleSet, part: int) -> WeightFunction:
-    """chi_{V^j} = -(1/2n) sum_{u != v} (f_u - f_v) chi_{u,v}."""
+def chi_part(tset: TriangleSet, part: int) -> np.ndarray:
+    """Triangle values of chi_{V^j} = -(1/2n) sum_{u != v} (f_u - f_v)
+    chi_{u,v}, as one matrix product.
+
+    With P the n x n^2 presence matrix of the part (row u holds the
+    triangles (u, x) over the n^2 vertex pairs x of the other parts)
+    and m = P P^T the K_{2,1,1} counts of each vertex pair, the pair
+    (u, v) puts coef / m[u, v] on the triangles (u, x) and -coef /
+    m[u, v] on (v, x) for every x with both present.  The two orders
+    of a pair add up, so the triangle (u, x) gets (A P)[u, x] with
+    A[u, v] = -(f_u - f_v) / (n m[u, v]) (zero on the diagonal).
+    Raises ValueError when a pair with f_u != f_v has no K_{2,1,1}."""
     n = tset.n
     f = part_imbalance(tset, part)
+    ids = np.moveaxis(tset.id3, part, 0).reshape(n, n * n)
+    present = ids >= 0
+    pres = present.astype(np.float64)
+    m = pres @ pres.T
+    gap = f[:, None] - f[None, :]
+    if ((m == 0) & (gap != 0)).any():
+        raise ValueError("no K_{2,1,1} copies through the pair")
+    a = np.divide(-gap, n * m, out=np.zeros((n, n)), where=m != 0)
     out = np.zeros(len(tset))
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            coef = -(f[u] - f[v]) / (2.0 * n)
-            if coef != 0.0:
-                out += coef * _chi_uv_raw(tset, part, u, v)
-    return WeightFunction(tset, out)
+    out[ids[present]] = (a @ pres)[present]
+    return out
 
 
 def phi0(tset: TriangleSet) -> WeightFunction:
     """The vertex-balanced seed 1 + chi_{V^1} + chi_{V^2} + chi_{V^3}."""
     out = np.ones(len(tset))
     for part in range(3):
-        out += chi_part(tset, part).values
+        out += chi_part(tset, part)
     return WeightFunction(tset, out)
 
 
@@ -467,6 +486,27 @@ class RegParams:
         return self.C ** -8.0
 
 
+def _sample_sets(gen: np.random.Generator, m: int, size: int,
+                 count: int) -> np.ndarray:
+    """``count`` rows of ``size`` distinct integers below m, each row
+    uniform over the ordered ``size``-tuples.
+
+    All rows are drawn iid with repetition in one call, and only the
+    rows that repeat an index are drawn again, until none do; a row
+    that survives is uniform over the distinct tuples, the law of
+    ``gen.choice(m, size, replace=False)``, though not its stream."""
+    if not 0 <= size <= m:
+        raise ValueError(f"cannot draw {size} distinct indices below {m}")
+    sets = gen.integers(0, m, size=(count, size))
+    redo = np.arange(count)
+    while True:
+        ordered = np.sort(sets[redo], axis=1)
+        redo = redo[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
+        if not len(redo):
+            return sets
+        sets[redo] = gen.integers(0, m, size=(len(redo), size))
+
+
 def check_conditions(tset: TriangleSet, params: RegParams,
                      rng: RandomStream | None = None) -> ConditionReport:
     """The four quasirandomness conditions behind the boosting step.
@@ -477,9 +517,11 @@ def check_conditions(tset: TriangleSet, params: RegParams,
     extensions of edge sets Q, |Q| <= 6, within [C^-1, C] p^{|V(Q)|} n;
     (4) equal cross-pair edge counts and per-vertex degree gaps at most
     n^(2/3).  Sizes 1 and 2 are exhaustive, larger sets are sampled:
-    SAMPLE_BUDGET ``gen.choice`` draws per size, taken for each target
-    part or edge kind before its sets are checked.  Each pool of
-    equal-size sets is checked as one array reduction: a common
+    one ``_sample_sets`` pool of SAMPLE_BUDGET sets per size, drawn for
+    each target part or edge kind before its sets are checked.  Sizes
+    stop at the number of items drawn from, the 2n vertices in (2) and
+    the kind's host edges in (3), so small hosts check fewer sizes.  Each
+    pool of equal-size sets is checked as one array reduction: a common
     neighborhood is ``rows[set].all(axis=0).sum()`` over the stacked
     adjacency rows toward the target, a joint extension the popcount of
     the ANDed apex masks.  Violations are counted in checking order and
@@ -514,9 +556,8 @@ def check_conditions(tset: TriangleSet, params: RegParams,
         # each pool holds one vertex set per row, as indexes into verts
         pools = [np.arange(2 * n)[:, None],
                  np.stack(np.triu_indices(2 * n, k=1), axis=1)]
-        pools += [np.array([gen.choice(2 * n, size, replace=False)
-                            for _ in range(SAMPLE_BUDGET)])
-                  for size in range(3, 7)]
+        pools += [_sample_sets(gen, 2 * n, size, SAMPLE_BUDGET)
+                  for size in range(3, min(6, 2 * n) + 1)]
         for sets in pools:
             size = sets.shape[1]
             rep._check(2, str(target), rows[sets].all(axis=1).sum(axis=1),
@@ -531,11 +572,8 @@ def check_conditions(tset: TriangleSet, params: RegParams,
         eis, ejs = np.nonzero(tset.adj(kind))
         edge_pool = list(zip(eis.tolist(), ejs.tolist()))
         pools = [np.arange(len(eis))[:, None]]
-        for size in range(2, 7):
-            if len(eis) < size:
-                break
-            pools.append(np.array([gen.choice(len(eis), size, replace=False)
-                                   for _ in range(SAMPLE_BUDGET)]))
+        pools += [_sample_sets(gen, len(eis), size, SAMPLE_BUDGET)
+                  for size in range(2, min(6, len(eis)) + 1)]
         for sets in pools:
             got = np.bitwise_count(
                 np.bitwise_and.reduce(am[eis[sets], ejs[sets]], axis=1))

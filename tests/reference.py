@@ -33,7 +33,10 @@ from latinlab.fracdec import (
     ConditionReport,
     TriangleSet,
     Violation,
+    _chi_uv_raw,
+    _sample_sets,
     complete_host,
+    part_imbalance,
 )
 from latinlab.rng import RandomStream
 from latinlab.sampling import enumerate_squares
@@ -688,9 +691,27 @@ def brute_weight_sums(tset: TriangleSet, values) -> dict:
     return {"vertex": vertex, "edge": edge, "total": math.fsum(values)}
 
 
+def brute_chi_part(tset: TriangleSet, part: int) -> np.ndarray:
+    """chi_{V^j} = -(1/2n) sum_{u != v} (f_u - f_v) chi_{u,v}, one
+    ordered pair at a time."""
+    n = tset.n
+    f = part_imbalance(tset, part)
+    out = np.zeros(len(tset))
+    for u in range(n):
+        for v in range(n):
+            if u == v:
+                continue
+            coef = -(f[u] - f[v]) / (2.0 * n)
+            if coef != 0.0:
+                out += coef * _chi_uv_raw(tset, part, u, v)
+    return out
+
+
 def brute_conditions(tset: TriangleSet, params, rng: RandomStream):
     """``check_conditions`` one checked vertex set or edge set at a time,
-    with the same draws from ``rng`` in the same order."""
+    with the same draws from ``rng`` in the same order.  The random
+    pools come from ``_sample_sets``, so each set is compared with the
+    set the fast path drew; the law of the draws is tested apart."""
     n = tset.n
     p, q, xi, C = params.p, params.q, params.xi, params.C
     gen = rng.generator
@@ -735,10 +756,9 @@ def brute_conditions(tset: TriangleSet, params, rng: RandomStream):
         pools = [[[v] for v in verts],
                  [[verts[a], verts[b]]
                   for a in range(2 * n) for b in range(a + 1, 2 * n)]]
-        for size in range(3, 7):
-            pools.append([[verts[t] for t in gen.choice(2 * n, size,
-                                                        replace=False)]
-                          for _ in range(SAMPLE_BUDGET)])
+        for size in range(3, min(6, 2 * n) + 1):
+            pools.append([[verts[t] for t in row] for row in
+                          _sample_sets(gen, 2 * n, size, SAMPLE_BUDGET)])
         for pool in pools:
             for members in pool:
                 size = len(members)
@@ -755,12 +775,10 @@ def brute_conditions(tset: TriangleSet, params, rng: RandomStream):
         eis, ejs = np.nonzero(tset.adj(kind))
         edge_pool = list(zip(eis.tolist(), ejs.tolist()))
         groups = [[[e] for e in edge_pool]]
-        for size in range(2, 7):
-            if len(edge_pool) < size:
-                break
-            groups.append([[edge_pool[t] for t in gen.choice(
-                len(edge_pool), size, replace=False)]
-                for _ in range(SAMPLE_BUDGET)])
+        for size in range(2, min(6, len(edge_pool)) + 1):
+            groups.append([[edge_pool[t] for t in row] for row in
+                           _sample_sets(gen, len(edge_pool), size,
+                                        SAMPLE_BUDGET)])
         for pool in groups:
             for edges in pool:
                 mask = np.uint64(~np.uint64(0))

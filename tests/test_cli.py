@@ -201,24 +201,29 @@ def test_phi_json_and_witness(capsys, tmp_path):
 
 
 def test_boost_writes_the_three_artifacts(capsys, tmp_path):
-    tset = conforming_instance(30)
-    graph = tmp_path / "host.json"
-    cand = tmp_path / "cand.txt"
-    graph.write_text(serialize_tripartite(tset.host))
-    cand.write_text("\n".join(
-        ["30"] + [f"{a} {b} {c}" for a, b, c in tset.tris]) + "\n")
-    code, out, _ = run(capsys, "boost", "--graph", str(graph),
-                       "--triangles", str(cand), "--q", "0.9",
-                       "--seed", "2", "--out", str(tmp_path))
-    assert code == 0
-    assert "beta=4" in out
-    star = (tmp_path / "boost_phi_star.txt").read_text().splitlines()
-    assert star[0] == "0 0.25"
-    trace = (tmp_path / "boost_trace.csv").read_text().splitlines()
-    assert trace[0] == "iter,max_disc,vertex_residual"
-    selected = (tmp_path / "boost_selected.txt").read_text().splitlines()
-    assert selected[0] == "30"
-    assert all(len(line.split()) == 3 for line in selected[1:])
+    # n = 2 is the complete K_{2,2,2}: too few vertices for the larger
+    # sampled vertex sets of the conditions
+    for n, layers, q in ((30, 3, "0.9"), (2, 0, "1")):
+        tset = conforming_instance(n, layers)
+        out_dir = tmp_path / str(n)
+        out_dir.mkdir()
+        graph = out_dir / "host.json"
+        cand = out_dir / "cand.txt"
+        graph.write_text(serialize_tripartite(tset.host))
+        cand.write_text("\n".join(
+            [str(n)] + [f"{a} {b} {c}" for a, b, c in tset.tris]) + "\n")
+        code, out, _ = run(capsys, "boost", "--graph", str(graph),
+                           "--triangles", str(cand), "--q", q,
+                           "--seed", "2", "--out", str(out_dir))
+        assert code == 0
+        assert "beta=4" in out
+        star = (out_dir / "boost_phi_star.txt").read_text().splitlines()
+        assert star[0] == "0 0.25"
+        trace = (out_dir / "boost_trace.csv").read_text().splitlines()
+        assert trace[0] == "iter,max_disc,vertex_residual"
+        selected = (out_dir / "boost_selected.txt").read_text().splitlines()
+        assert selected[0] == str(n)
+        assert all(len(line.split()) == 3 for line in selected[1:])
 
 
 def test_absorb_spheres_files(capsys, tmp_path):

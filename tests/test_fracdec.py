@@ -1,22 +1,29 @@
 """Weight functions, the chi/psi gadgets, and the boosting loop."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latinlab
 from latinlab.core import TripartiteGraph
 from latinlab.fracdec import (
     MASK_CAP,
+    SAMPLE_BUDGET,
     ConditionReport,
     RegParams,
     TriangleSet,
     WeightFunction,
+    _sample_sets,
     adjust,
     boost,
     check_conditions,
+    chi_part,
     chi_uv,
     complete_host,
     conforming_instance,
@@ -29,6 +36,7 @@ from latinlab.sampling import sample_squares
 
 from reference import (
     all_triangles,
+    brute_chi_part,
     brute_conditions,
     brute_triangle_indexes,
     brute_weight_sums,
@@ -198,6 +206,58 @@ def test_conditions_match_brute_on_sparse_hosts(stored, monkeypatch):
     assert len(rep.sample) == min(stored, sum(rep.violation_counts.values()))
 
 
+def test_sample_sets_rows_are_distinct_and_in_range():
+    gen = RandomStream(7).generator
+    for m, size in ((6, 6), (8, 3), (12, 6), (1000, 6), (4, 1)):
+        sets = _sample_sets(gen, m, size, 500)
+        assert sets.shape == (500, size)
+        assert sets.min() >= 0 and sets.max() < m
+        ordered = np.sort(sets, axis=1)
+        assert (ordered[:, 1:] != ordered[:, :-1]).all()
+    for m, size in ((3, 4), (0, 1)):
+        with pytest.raises(ValueError, match="distinct indices"):
+            _sample_sets(gen, m, size, 10)
+
+
+def test_sample_sets_is_uniform_over_ordered_tuples():
+    # 60 ordered 3-tuples of range(5), 500 expected hits each with
+    # standard deviation 22.2; the band is 5 of those
+    rows = 30_000
+    sets = _sample_sets(RandomStream(11).generator, 5, 3, rows)
+    keys = (sets * np.array([25, 5, 1])).sum(axis=1)
+    tuples = [25 * a + 5 * b + c
+              for a, b, c in itertools.permutations(range(5), 3)]
+    counts = np.bincount(keys, minlength=125)
+    assert counts.sum() == counts[tuples].sum() == rows
+    mean, sd = rows / 60, (rows / 60 * (59 / 60)) ** 0.5
+    assert (np.abs(counts[tuples] - mean) <= 5 * sd).all()
+
+
+def test_conditions_on_the_smallest_hosts():
+    # with 2n < 6 the condition-2 pools stop at 2n vertices
+    for n in (1, 2):
+        tset = all_triangles(complete_host(n))
+        rep = _assert_same_report(tset, RegParams(p=1.0, q=1.0), 0)
+        assert rep.ok
+        assert rep.checked[2] == 3 * (2 * n + n * (2 * n - 1)
+                                      + SAMPLE_BUDGET * max(2 * n - 2, 0))
+
+
+@pytest.mark.parametrize("n", [6, 9, 12, 16])
+def test_chi_part_matches_the_pairwise_sum(n):
+    tset = thinned_instance(n, 0.8, substream(n, 5))
+    for part in range(3):
+        got, ref = chi_part(tset, part), brute_chi_part(tset, part)
+        assert np.abs(ref).max() > 1e-3  # not all zero
+        assert np.abs(got - ref).max() <= 1e-12
+
+
+def test_phi0_of_conforming_instances_is_all_ones():
+    for n in (6, 12, 30):
+        values = phi0(conforming_instance(n)).values
+        assert values.tobytes() == np.ones(len(values)).tobytes()
+
+
 def test_chi_uv_vertex_weights_are_unit():
     tset = small_conforming()
     wf = chi_uv(tset, 0, 1, 4)
@@ -309,6 +369,24 @@ def test_weight_function_verify_catches_tampering():
     wf.vertex[0][0] += 0.5
     with pytest.raises(AssertionError):
         wf.verify()
+
+
+def test_weight_function_verify_checks_under_optimize():
+    # bare asserts would vanish under -O and let the tampering through
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        latinlab.__file__)))
+    code = ("from latinlab.fracdec import conforming_instance, phi0\n"
+            "wf = phi0(conforming_instance(6))\n"
+            "wf.edge[2][1, 3] += 0.5\n"
+            "try:\n"
+            "    wf.verify()\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("edge 31 cache off by 0.5")
 
 
 def test_adjust_of_clean_input_is_bit_identical():
