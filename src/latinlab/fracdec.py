@@ -233,10 +233,13 @@ def _check_indices(tset: TriangleSet, name: str, k, *vertices) -> None:
             raise ValueError(f"vertex {v} out of range")
 
 
-def _chi_uv_raw(tset: TriangleSet, part: int, u: int, v: int) -> np.ndarray:
+def chi_uv(tset: TriangleSet, part: int, u: int, v: int) -> WeightFunction:
+    """chi_{u,v}: average of the two triangle stars of each K_{2,1,1}
+    through same-part vertices u, v.  Vertex weights are +1 at u, -1 at
+    v, zero elsewhere."""
+    _check_indices(tset, "part", part, u, v)
     if u == v:
         raise ValueError("need two distinct vertices")
-    n = tset.n
     grid_u = tset.id3 if part == 0 else np.moveaxis(tset.id3, part, 0)
     pu, pv = grid_u[u], grid_u[v]
     both = (pu >= 0) & (pv >= 0)
@@ -246,15 +249,7 @@ def _chi_uv_raw(tset: TriangleSet, part: int, u: int, v: int) -> np.ndarray:
     out = np.zeros(len(tset))
     out[pu[both]] += 1.0 / m
     out[pv[both]] -= 1.0 / m
-    return out
-
-
-def chi_uv(tset: TriangleSet, part: int, u: int, v: int) -> WeightFunction:
-    """chi_{u,v}: average of the two triangle stars of each K_{2,1,1}
-    through same-part vertices u, v.  Vertex weights are +1 at u, -1 at
-    v, zero elsewhere."""
-    _check_indices(tset, "part", part, u, v)
-    return WeightFunction(tset, _chi_uv_raw(tset, part, u, v))
+    return WeightFunction(tset, out)
 
 
 def part_imbalance(tset: TriangleSet, part: int) -> np.ndarray:
@@ -631,11 +626,13 @@ def boost(tset: TriangleSet, params: RegParams, rng: RandomStream,
     beta = 4 * mean_e phi_k^edge(e) / (p^2 q n), clamps to [0, 1], and
     includes each triangle independently with probability phi_*(T).
     Raises BoostDiverged when the discrepancy grows twice in a row,
-    which signals a non-conforming input.
+    which signals a non-conforming input.  The condition check and the
+    rounding draw read child streams 0 and 1 of ``rng``, so the selected
+    family is the same whether or not the check runs.
     """
     n = tset.n
     if not force:
-        rep = check_conditions(tset, params, rng)
+        rep = check_conditions(tset, params, rng.child(0))
         if not rep.ok:
             raise InputError(
                 "conditions fail "
@@ -660,6 +657,6 @@ def boost(tset: TriangleSet, params: RegParams, rng: RandomStream,
     beta = 4.0 * (3.0 * wf.total / tset.edge_total) / (params.p**2
                                                        * params.q * n)
     phi_star = np.clip(wf.values / beta, 0.0, 1.0)
-    chosen = rng.generator.random(len(tset)) < phi_star
+    chosen = rng.child(1).generator.random(len(tset)) < phi_star
     return BoostResult(phi_star, tset.subset(chosen), chosen, trace,
                        beta, wf)

@@ -18,11 +18,26 @@ each partner can complete only one corner: a row partner (r, c2, s2)
 whose column holds no s makes T the opposite corner of (r3, c2, s) with
 (r3, c, s2) present; one whose column holds s at row r3 makes T the side
 cell of (r3, c, s2); a column partner (r2, c, s2) whose row holds s at
-c3 makes T the symbol-matching cell of (r, c3, s2).  The three scans
-read the line masks from before the placement and add the completing
-triple if it is still available and not already dangerous.  Without
-the constraint the table stays empty and every available triple is
-safe.
+c3 makes T the symbol-matching cell of (r, c3, s2).  Each scan adds the
+completing triple if it is still available and not already dangerous,
+and tells the cases apart by the masks ``sym_cols[s]`` and
+``sym_rows[s]`` from before the placement.  The opposite-corner scan
+walks the filled columns c2 of row r outside ``sym_cols[s]``.  The other
+two walk symbols: the side-cell scan takes s2 in ``row_syms[r] &
+~col_syms[c]``, its partner column c2 = ``col_of[r][s2]``, and skips it
+unless c2 is in ``sym_cols[s]``; the symbol-matching scan takes s2 in
+``col_syms[c] & ~row_syms[r]``, its partner row r2 = ``row_of[c][s2]``,
+and skips it unless r2 is in ``sym_rows[s]``.  Filled cells of a line and
+the symbols it holds correspond one to one, so these walks reach the
+same partners as walks over ``row_cols[r] & sym_cols[s]`` and
+``col_rows[c] & sym_rows[s]``, minus exactly those whose completing
+symbol s2 is already in column c (side cell) or row r (symbol-matching
+cell): the completing triple (r3, c, s2) or (r, c3, s2) is then
+unavailable, and the column walk rejected those partners by the same
+test.  The triples added, the danger bits, ``made`` and the weights are
+therefore the same; only the order of the additions differs, and no
+triple is added twice.  Without the constraint the table stays empty
+and every available triple is safe.
 
 Two weight tables are kept exactly beside it: ``w[r][c]``, the number
 of safe available symbols of cell (r, c), and ``roww[r]``, the sum of
@@ -33,10 +48,17 @@ dangerous ones among them are the popcounts of those free masks with
 columns and rows outside the danger masks cost their cell one weight.
 A new danger entry on an available triple costs its cell one as well.
 A step draws one k uniform in [0, safe count) and maps it to a triple:
-the row and then the cell by bisecting the running sums of ``roww`` and
-``w[r]``, the symbol by clearing the k lowest bits of the cell's mask
-of free symbols outside ``dsyms``.  The map is a bijection onto the
-safe set, so each step is exactly uniform at O(n) cost.
+the row and then the cell by subtracting ``roww`` and then ``w[r]``
+from k until it falls inside one entry (a Python loop that stops early
+costs less than building the running sums), the symbol as entry k of
+the ascending list of the cell's free symbols outside ``dsyms``.  The
+map is a bijection onto the safe set, so each step is exactly uniform
+at O(n) cost.
+
+Every walk over a mask (the weight updates, the three scans, the symbol
+pick and ``safe_candidates``) goes through ``set_bits``, which reads the
+mask a byte at a time and looks each nonzero byte up in a table of its
+absolute bit indices, built once per byte count by ``byte_tables``.
 
 The expected trajectory of the safe count is
 
@@ -58,9 +80,8 @@ are predictable.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cache
 
 import numpy as np
 
@@ -108,11 +129,24 @@ def log_density_target(n: int) -> float:
     return 3.0 * math.log(n) - 13.0 / 4.0
 
 
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
+@cache
+def byte_tables(nbytes: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Lookup tables for ``set_bits`` on masks of ``nbytes`` bytes: entry
+    [j][v] holds the absolute indices 8 j + i of the set bits i of byte
+    value v at byte position j.  Built once per byte count."""
+    in_byte = [tuple(i for i in range(8) if v >> i & 1) for v in range(256)]
+    return tuple(tuple(tuple(8 * j + i for i in bits) for bits in in_byte)
+                 for j in range(nbytes))
+
+
+def set_bits(mask: int, tables) -> list[int]:
+    """The set bits of a nonnegative mask, ascending, read a byte at a
+    time through ``byte_tables`` of a byte count the mask fits in."""
+    out: list[int] = []
+    for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
+        if byte:
+            out += table[byte]
+    return out
 
 
 class ProcessState:
@@ -126,6 +160,7 @@ class ProcessState:
         self.n = n
         self.girth = girth
         self.full = (1 << n) - 1
+        self.tables = byte_tables((n + 7) // 8)
         self.cell = [[-1] * n for _ in range(n)]
         self.col_of = [[-1] * n for _ in range(n)]   # [r][s] -> column
         self.row_of = [[-1] * n for _ in range(n)]   # [c][s] -> row
@@ -165,7 +200,7 @@ class ProcessState:
     def place(self, r: int, c: int, s: int) -> None:
         if not self.is_available(r, c, s):
             raise ValueError(f"triple ({r},{c},{s}) is not available")
-        full, w, roww = self.full, self.w, self.roww
+        full, w, roww, tables = self.full, self.w, self.roww, self.tables
         dsyms, dcols, drows = self.dsyms, self.dcols, self.drows
         if (dsyms[r][c] >> s) & 1:
             raise ValueError(f"triple ({r},{c},{s}) would complete an "
@@ -190,17 +225,11 @@ class ProcessState:
         wr[c] = 0
         m = free_cols & ~dcols[r][s]
         roww[r] -= m.bit_count()
-        while m:
-            b = m & -m
-            wr[b.bit_length() - 1] -= 1
-            m ^= b
-        m = free_rows & ~drows[c][s]
-        while m:
-            b = m & -m
-            r2 = b.bit_length() - 1
+        for c2 in set_bits(m, tables):
+            wr[c2] -= 1
+        for r2 in set_bits(free_rows & ~drows[c][s], tables):
             w[r2][c] -= 1
             roww[r2] -= 1
-            m ^= b
 
         cell, col_of, row_of = self.cell, self.col_of, self.row_of
         cell[r][c] = s
@@ -218,52 +247,46 @@ class ProcessState:
 
         # near-intercalates created by the new triple: each partner sharing
         # its row or column completes at most one corner, told apart by
-        # whether the partner's line already holds s; the masks are the
-        # ones from before this placement, so the new triple is not its
-        # own partner
+        # whether the partner's line held s before this placement
+        # (``sym_cols`` and ``sym_rows`` are the masks from before it)
         made = 0
         cellr = cell[r]
-        m = row_cols & ~sym_cols
-        while m:                     # the new triple is the opposite corner
-            b = m & -m
-            c2 = b.bit_length() - 1
-            m ^= b
+        for c2 in set_bits(row_cols & ~sym_cols, tables):
+            # the new triple is the opposite corner
             r3 = row_of[c][cellr[c2]]
             if (r3 >= 0 and cell[r3][c2] < 0
                     and not ((row_syms[r3] | col_syms[c2] | dsyms[r3][c2])
                              >> s) & 1):
                 dsyms[r3][c2] |= 1 << s
-                dcols[r3][s] |= b
+                dcols[r3][s] |= 1 << c2
                 drows[c2][s] |= 1 << r3
                 w[r3][c2] -= 1
                 roww[r3] -= 1
                 made += 1
-        m = row_cols & sym_cols
-        while m:                     # the new triple is the side cell
-            b = m & -m
-            c2 = b.bit_length() - 1
-            m ^= b
-            s2 = cellr[c2]
+        col_of_r = col_of[r]
+        for s2 in set_bits(row_syms[r] & ~col_syms[c], tables):
+            # the new triple is the side cell, partner (r, c2, s2)
+            c2 = col_of_r[s2]
+            if not (sym_cols >> c2) & 1:
+                continue
             r3 = row_of[c2][s]
             if (cell[r3][c] < 0
-                    and not ((row_syms[r3] | col_syms[c] | dsyms[r3][c])
-                             >> s2) & 1):
+                    and not ((row_syms[r3] | dsyms[r3][c]) >> s2) & 1):
                 dsyms[r3][c] |= 1 << s2
                 dcols[r3][s2] |= 1 << c
                 drows[c][s2] |= 1 << r3
                 w[r3][c] -= 1
                 roww[r3] -= 1
                 made += 1
-        m = col_rows & sym_rows
-        while m:                     # the new triple is the symbol-matching cell
-            b = m & -m
-            r2 = b.bit_length() - 1
-            m ^= b
-            s2 = cell[r2][c]
+        row_of_c = row_of[c]
+        for s2 in set_bits(col_syms[c] & ~row_syms[r], tables):
+            # the new triple is the symbol-matching cell, partner (r2, c, s2)
+            r2 = row_of_c[s2]
+            if not (sym_rows >> r2) & 1:
+                continue
             c3 = col_of[r2][s]
             if (cellr[c3] < 0
-                    and not ((row_syms[r] | col_syms[c3] | dsyms[r][c3])
-                             >> s2) & 1):
+                    and not ((col_syms[c3] | dsyms[r][c3]) >> s2) & 1):
                 dsyms[r][c3] |= 1 << s2
                 dcols[r][s2] |= 1 << c3
                 drows[c3][s2] |= 1 << r
@@ -279,32 +302,35 @@ class ProcessState:
         (row, column, symbol) order of ``safe_candidates``."""
         r, k = _locate(self.roww, k)
         c, k = _locate(self.w[r], k)
-        m = ~(self.row_syms[r] | self.col_syms[c] | self.dsyms[r][c]) & self.full
-        for _ in range(k):
-            m &= m - 1
-        if not m:
+        free = ~(self.row_syms[r] | self.col_syms[c] | self.dsyms[r][c])
+        syms = set_bits(free & self.full, self.tables)
+        if k >= len(syms):
             raise AssertionError(f"cell ({r},{c}) has fewer safe symbols than w")
-        return r, c, (m & -m).bit_length() - 1
+        return r, c, syms[k]
 
     def safe_candidates(self) -> list[tuple[int, int, int]]:
         """Every safe available triple, enumerated directly."""
-        full, dsyms = self.full, self.dsyms
+        full, dsyms, tables = self.full, self.dsyms, self.tables
         return [
             (r, c, s)
             for r in range(self.n)
-            for c in _bits(~self.row_cols[r] & full)
-            for s in _bits(
-                ~(self.row_syms[r] | self.col_syms[c] | dsyms[r][c]) & full)
+            for c in set_bits(~self.row_cols[r] & full, tables)
+            for s in set_bits(
+                ~(self.row_syms[r] | self.col_syms[c] | dsyms[r][c]) & full,
+                tables)
         ]
 
 
 def _locate(weights: list[int], k: int) -> tuple[int, int]:
     """The index i holding unit k of the weights, and k's offset within it."""
-    ends = list(accumulate(weights))
-    if not 0 <= k < ends[-1]:
-        raise IndexError(f"k = {k} is not in [0, {ends[-1]})")
-    i = bisect_right(ends, k)
-    return i, k - ends[i] + weights[i]
+    if k >= 0:
+        offset, i = k, 0
+        for x in weights:
+            if offset < x:
+                return i, offset
+            offset -= x
+            i += 1
+    raise IndexError(f"k = {k} is not in [0, {sum(weights)})")
 
 
 def run_process(

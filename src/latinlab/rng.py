@@ -3,7 +3,9 @@
 All draws come from Philox, a counter-based 64-bit generator, so a run is
 reproducible across platforms and across worker counts.  Seeds fan out to
 independent streams by entropy composition: the stream for child ``path``
-of master seed ``s`` is built from ``numpy.random.SeedSequence((s, *path))``.
+of master seed ``s`` is built from ``numpy.random.SeedSequence((s, *path))``,
+and ``RandomStream.child`` spawns numbered streams from a stream's own
+seed sequence, for a routine that gives each of its uses its own draws.
 Scalar draws are served from pre-generated blocks of 62-bit words
 because per-call ``Generator`` overhead dominates tight Markov-chain
 loops.  ``randrange`` takes one word per call; the Jacobson-Matthews
@@ -61,6 +63,14 @@ class RandomStream:
         v = self._buf[self._pos]
         self._pos += 1
         return v % bound
+
+    def child(self, index: int) -> RandomStream:
+        """Independent stream number ``index`` spawned from this stream's
+        seed sequence; the same whatever this stream has already drawn."""
+        ss = self.seed_sequence
+        return RandomStream(np.random.SeedSequence(
+            ss.entropy, spawn_key=(*ss.spawn_key, int(index)),
+            pool_size=ss.pool_size))
 
     def shuffled(self, items):
         out = list(items)

@@ -33,7 +33,6 @@ from latinlab.fracdec import (
     ConditionReport,
     TriangleSet,
     Violation,
-    _chi_uv_raw,
     _sample_sets,
     complete_host,
     part_imbalance,
@@ -693,17 +692,32 @@ def brute_weight_sums(tset: TriangleSet, values) -> dict:
 
 def brute_chi_part(tset: TriangleSet, part: int) -> np.ndarray:
     """chi_{V^j} = -(1/2n) sum_{u != v} (f_u - f_v) chi_{u,v}, one
-    ordered pair at a time."""
+    ordered pair at a time; chi_{u,v} puts +1/m on each triangle through
+    u whose copy through v (the part-j vertex swapped) is present, -1/m
+    on that copy, for the m such pairs."""
     n = tset.n
     f = part_imbalance(tset, part)
+    index = {tri: i for i, tri in enumerate(map(tuple, tset.tris.tolist()))}
+
+    def swapped(tri, v):
+        return tri[:part] + (v,) + tri[part + 1:]
+
     out = np.zeros(len(tset))
     for u in range(n):
+        through_u = [t for t in index if t[part] == u]
         for v in range(n):
             if u == v:
                 continue
             coef = -(f[u] - f[v]) / (2.0 * n)
-            if coef != 0.0:
-                out += coef * _chi_uv_raw(tset, part, u, v)
+            if coef == 0.0:
+                continue
+            pairs = [(index[t], index[swapped(t, v)]) for t in through_u
+                     if swapped(t, v) in index]
+            if not pairs:
+                raise ValueError("no K_{2,1,1} copies through the pair")
+            for iu, iv in pairs:
+                out[iu] += coef / len(pairs)
+                out[iv] -= coef / len(pairs)
     return out
 
 

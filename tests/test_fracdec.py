@@ -439,6 +439,16 @@ def test_boost_refuses_nonconforming_without_force():
     assert res.trace[-1].max_disc <= 1e-9  # layered hosts stay exact
 
 
+def test_boost_selection_does_not_depend_on_the_check():
+    # the check and the rounding draw read separate child streams, so
+    # skipping the check leaves the selected family as it was
+    tset = conforming_instance(30)
+    checked = boost(tset, RegParams(1.0, 0.9), RandomStream(5))
+    forced = boost(tset, RegParams(1.0, 0.9), RandomStream(5), force=True)
+    assert (checked.chosen == forced.chosen).all()
+    assert (checked.selected.tris == forced.selected.tris).all()
+
+
 def test_boost_selection_is_deterministic():
     tset = conforming_instance(21)
     params = RegParams(p=1.0, q=6 / 7)

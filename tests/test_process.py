@@ -1,5 +1,6 @@
 """Triple-removal trajectories and the sparse-system tools."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,11 +13,13 @@ from latinlab.counting import count_intercalates, girth
 from latinlab.process import (
     ProcessConfig,
     ProcessState,
+    byte_tables,
     collision_filter,
     log_density_target,
     predicted_available,
     run_process,
     sample_sparse_system,
+    set_bits,
 )
 from latinlab.rng import RandomStream
 
@@ -108,16 +111,61 @@ def test_incremental_counts_and_weights_match_brute_at_every_step(n, g, seed):
 
 @pytest.mark.parametrize("g", [0, 6])
 def test_draw_maps_k_onto_each_safe_triple_exactly_once(g):
-    # k uniform on range(safe_count) then gives an exactly uniform triple
-    for n in range(1, 8):
-        for seed in range(3):
+    # k uniform on range(safe_count) then gives an exactly uniform triple;
+    # checked at every `every`-th step: orders inside one byte at each
+    # step, then masks past one byte (9), filling two (16) and reaching
+    # into a third (17)
+    for n, seeds, every in [(n, 3, 1) for n in range(1, 8)] + [
+            (9, 2, 2), (16, 1, 5), (17, 1, 7)]:
+        for seed in range(seeds):
             state = ProcessState(n, g)
             rng = RandomStream(seed)
             while state.safe_count:
-                drawn = [state.triple_at(k) for k in range(state.safe_count)]
-                assert drawn == brute_safe_triples(state)
-                assert drawn == state.safe_candidates()
-                state.place(*drawn[rng.randrange(len(drawn))])
+                if state.steps % every == 0:
+                    drawn = [state.triple_at(k)
+                             for k in range(state.safe_count)]
+                    assert drawn == brute_safe_triples(state)
+                    assert drawn == state.safe_candidates()
+                state.place(*state.triple_at(rng.randrange(state.safe_count)))
+
+
+@pytest.mark.parametrize("g, seed, steps, digest", [
+    (0, 0, 1459,
+     "857e5314b6d5e8571fff8ab15168d8e8682398a34e1b476810223cfd9d039910"),
+    (0, 1, 1459,
+     "e5afa5fad83934f91ea263f806d3414d96cddfa85c4eea069c89730669efeaba"),
+    (6, 0, 1411,
+     "311ead5f2e5ca379de47ad47f75ef19fa2e193f6840cffb43c1fa8593d2df8a8"),
+    (6, 1, 1426,
+     "024a56443c5476b7f1a1dac6ee7c5328cce2be23630a3be4efc9d74cfe1d3ba2"),
+])
+def test_run_outputs_are_pinned(g, seed, steps, digest):
+    # SHA-256 of order, trace and available_trace as little-endian int64:
+    # a change to the law, the k -> triple map or the order of the draws
+    # moves it
+    res = run_process(40, RandomStream(seed), ProcessConfig(girth=g))
+    h = hashlib.sha256()
+    for a in (res.order, res.trace, res.available_trace):
+        h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    assert res.steps == steps
+    assert h.hexdigest() == digest
+
+
+def test_set_bits_matches_a_bit_by_bit_walk():
+    rng = np.random.default_rng(5)
+    for width in range(1, 131):
+        tables = byte_tables((width + 7) // 8)
+        full = (1 << width) - 1
+        masks = [0, full, 1 << (width - 1), 1]
+        masks += [int.from_bytes(rng.bytes(17), "little") & full
+                  for _ in range(6)]
+        # sparse masks, whose bytes are mostly zero
+        masks += [sum(1 << i for i in set(rng.integers(0, width, 3).tolist()))
+                  for _ in range(3)]
+        for m in masks:
+            naive = [i for i in range(width) if m >> i & 1]
+            assert set_bits(m, tables) == naive
+    assert byte_tables(2) is ProcessState(16).tables
 
 
 @pytest.mark.parametrize("g", [0, 6])

@@ -67,6 +67,15 @@ def test_substreams_are_stable_under_repartition():
     assert draws == list(reversed(again))
 
 
+def test_child_streams_ignore_the_parents_draws():
+    used = RandomStream(5)
+    used.randrange(10)
+    first = [RandomStream(5).child(i).randrange(10**9) for i in range(2)]
+    assert [used.child(i).randrange(10**9) for i in range(2)] == first
+    assert first[0] != first[1]
+    assert first[0] != RandomStream(5).randrange(10**9)
+
+
 def test_chain_thinning_produces_distinct_squares():
     squares = sample_squares(6, 5, RandomStream(17))
     assert len({sq.key() for sq in squares}) > 1
