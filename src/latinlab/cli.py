@@ -6,7 +6,6 @@ Usage sketch:
     latinlab count cuboctahedra square.txt
     latinlab count subsquares --k 3 square.txt
     latinlab count girth --max 12 system.txt
-    latinlab count config --name cuboctahedron square.txt
     latinlab sample square --n 9 --count 3 --seed 7 --out squares.txt
     latinlab sample rectangle --n 100 --k 3 --seed 1
     latinlab process run --n 50 --g 6 --seed 2 --out final.txt
@@ -65,7 +64,6 @@ from .core import (
     serialize_triples,
 )
 from .counting import (
-    count_cuboctahedra_nondegenerate,
     count_intercalates,
     count_subsquares,
     cuboctahedron_report,
@@ -199,16 +197,10 @@ def _cmd_count(args) -> int:
                 rows.append((label, f"subsquares_{args.k}",
                              count_subsquares(_as_square(label, obj),
                                               args.k)))
-            elif args.object == "girth":
+            else:
                 g = girth(obj, g_max=args.max)
                 rows.append((label, "girth",
                              g if g is not None else f">{args.max}"))
-            elif args.name == "intercalate":  # config
-                rows.append((label, "config_intercalate",
-                             4 * count_intercalates(obj)))
-            else:
-                rows.append((label, "config_cuboctahedron",
-                             count_cuboctahedra_nondegenerate(obj)))
     _emit_rows(rows, args.format, args.out)
     return 0
 
@@ -468,18 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="exact counts from files")
     p_count.add_argument("object",
                          choices=["intercalates", "cuboctahedra",
-                                  "subsquares", "girth", "config"])
+                                  "subsquares", "girth"])
     p_count.add_argument("files", nargs="+", metavar="FILE")
     p_count.add_argument("--k", type=int, default=2,
                          help="subsquare order (subsquares only)")
     p_count.add_argument("--max", type=int, default=12,
                          help="girth search cap (girth only)")
-    p_count.add_argument("--name",
-                         choices=["intercalate", "cuboctahedron"],
-                         default="intercalate",
-                         help="configuration to count, as labeled "
-                         "embeddings: 4 per intercalate, 1 per ordered "
-                         "nondegenerate cuboctahedron pair (config only)")
     p_count.add_argument("--format", choices=["csv", "json"], default="csv")
     p_count.add_argument("--out")
     p_count.set_defaults(fn=_cmd_count)

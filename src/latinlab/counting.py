@@ -56,14 +56,23 @@ The collapsed 1 x 1, 2 x 1 and 1 x 2 shapes are keyed by their symbols,
 the cell pairs on a line taken in both orders.
 
 Girth here is the triple-system girth: the smallest g > 3 such that some
-g vertices of the tripartite vertex set span g - 2 triples.  Girth
-greater than 6 is equivalent to having no intercalate.  A smallest such
+g vertices of the tripartite vertex set span g - 2 triples.  In a partial
+Latin square two vertices lie in at most one triple, so a rows, b
+columns and c symbols hold at most min(ab, bc, ca) triples; that rules
+out g = 4, 5 and 7 and leaves at g = 6 only the filled 2 x 2 block.  So
+girth 6 is exactly an intercalate, found by the grid kernel on the rows
+holding two triples, and an intercalate-free partial square has girth at
+least 8.  Past that, and for inputs that are not Latin, a smallest
 configuration is a connected triple set, and the search generates each
 connected set spanning at most g_max vertices once, from its least
 member, by Wernicke's ESU enumeration: a set grows only by triples from
 its extension list, which gains, with each added triple, the triples
 above the root that meet it and nothing the set already spans.  No set
-of visited states is kept.
+of visited states is kept.  A set whose span already equals the cap is
+not grown: adding the triples inside its span V one at a time lowers
+(vertices - triples) by one each, so some set on V is a configuration
+exactly when at least |V| - 2 triples lie inside V, which is counted
+through a (row, column) index.
 """
 
 from __future__ import annotations
@@ -530,16 +539,19 @@ def girth(obj, g_max: int = 12) -> int | None:
     """Smallest g in (3, g_max] with g vertices spanning g - 2 triples.
 
     Returns None when every configuration on at most g_max vertices is
-    strictly sparser, i.e. the girth exceeds g_max.  The search lists
-    every connected triple set whose least member is the root exactly
-    once (Wernicke's ESU enumeration, with triples as the nodes and a
-    shared vertex as the edge), so no set of visited states is kept.  A
-    state is its member count, the bitmask of the vertices it spans and
-    its extension list.  Vertex counts only grow along a branch, so a
-    triple that would take the span past g_max, or to the best girth
-    found so far, is skipped, and a set spanning |members| + 2 vertices
-    is recorded and not extended.  Systems need not be Latin, but a
-    coordinate outside range(n) raises InputError.
+    strictly sparser, i.e. the girth exceeds g_max.  Systems need not be
+    Latin, but a coordinate outside range(n) raises InputError.
+
+    Latin floor: two vertices of a partial Latin square lie in at most
+    one triple, so a rows, b columns and c symbols hold at most
+    min(ab, bc, ca) triples.  With a + b + c = g that is below g - 2 for
+    g = 4, 5 and 7 (at best 1, 2 and 4, from 2 + 1 + 1, 2 + 2 + 1 and
+    3 + 2 + 2), and at g = 6 only 2 + 2 + 2 reaches 4: four triples
+    filling a 2 x 2 block, an intercalate.  So a Latin input has girth 6
+    exactly when ``_intercalates`` finds one on its symbol grid (only
+    rows holding two triples can be in one, so the others are dropped
+    first), and otherwise no girth below 8, from which the search of
+    ``_girth_search`` starts.  Other inputs are searched from 4.
     """
     if isinstance(obj, (LatinSquare, LatinRectangle)):
         obj = to_triples(obj)
@@ -547,18 +559,60 @@ def girth(obj, g_max: int = 12) -> int | None:
         raise TypeError(f"girth undefined for {type(obj).__name__}")
     if g_max > 12:
         raise InputError("girth search is desk-capped at g_max <= 12")
-    n = obj.n
+    if not validate(obj):
+        return _girth_search(obj, g_max, 4)
+    if g_max < 6:
+        return None
+    grid = obj.cell_grid()
+    grid = grid[(grid >= 0).sum(axis=1) >= 2]
+    if _intercalates(np.where(grid < 0, obj.n, grid)[None])[0]:
+        return 6
+    return None if g_max < 8 else _girth_search(obj, g_max, 8)
+
+
+def _girth_search(ts: TripleSystem, g_max: int, floor: int) -> int | None:
+    """girth(ts, g_max) by search, where no configuration spans fewer
+    than ``floor`` vertices: 4 in general, 8 in a partial Latin square
+    without intercalates (see ``girth``).
+
+    The search lists every connected triple set whose least member is
+    the root exactly once (Wernicke's ESU enumeration, with triples as
+    the nodes and a shared vertex as the edge), so no set of visited
+    states is kept.  A state is its member count, the bitmask of the
+    vertices it spans and its extension list.  Vertex counts only grow
+    along a branch, so a triple that would take the span past the cap
+    (g_max, then one below the best girth found) is skipped, a set
+    spanning |members| + 2 vertices is recorded and not extended, and
+    the roots stop once the best girth is the floor.
+
+    Cap states: a set whose span V equals the cap can only grow by
+    triples inside V, so it is entered by ``close``, which copies and
+    extends no extension list, and is a hit exactly when at least
+    |V| - 2 triples lie inside V.  The members lie inside V and cover
+    it, and each further inside triple lowers (vertices - triples) by
+    one, so adding them one at a time passes through exactly |V| - 2
+    triples on V if and only if there are that many; with fewer, no set
+    on V is dense enough.  The inside triples are counted through a
+    (row, column) -> symbol-bits index over V's rows and columns.
+    """
+    n = ts.n
     # vertex ids r, n + c, 2n + s are the bit positions; an entry outside
     # range(n), which a TripleSystem keeps, would alias another part
-    for t in obj.triples:
+    for t in ts.triples:
         if not all(0 <= x < n for x in t):
             raise InputError(f"coordinate out of range in {t}")
-    tris = [(r, n + c, 2 * n + s) for r, c, s in obj.triples]
+    tris = [(r, n + c, 2 * n + s) for r, c, s in ts.triples]
     masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in tris]
     incident: list[list[int]] = [[] for _ in range(3 * n)]
     for t, tri in enumerate(tris):
         for v in tri:
             incident[v].append(t)
+    # r n + c -> the symbol vertex bits of cell (r, c); the triples are
+    # distinct, so each holds one bit per triple
+    cell_syms: dict[int, int] = {}
+    for r, c, s in ts.triples:
+        cell_syms[r * n + c] = cell_syms.get(r * n + c, 0) | 1 << (2 * n + s)
+    part = (1 << n) - 1
 
     best: int | None = None
     cap = g_max
@@ -587,13 +641,33 @@ def girth(obj, g_max: int = 12) -> int | None:
             if count == size + 3:
                 best = count
                 cap = count - 1
-                continue
-            child = ext.copy()
-            extend(child, root, w, spanned)
-            grow(size + 1, nv, child, root)
+            elif count < cap:
+                child = ext.copy()
+                extend(child, root, w, spanned)
+                grow(size + 1, nv, child, root)
+            else:
+                close(nv, count)
+
+    def close(spanned: int, count: int) -> None:
+        nonlocal best, cap
+        need = count - 2
+        rows, cols = spanned & part, spanned >> n & part
+        while rows:
+            r = rows & -rows
+            rows ^= r
+            base = (r.bit_length() - 1) * n
+            m = cols
+            while m:
+                c = m & -m
+                m ^= c
+                need -= (cell_syms.get(base + c.bit_length() - 1, 0)
+                         & spanned).bit_count()
+        if need <= 0:
+            best = count
+            cap = count - 1
 
     for root in range(len(tris)):
-        if best == 4:
+        if best == floor:
             break
         ext: list[int] = []
         extend(ext, root, root, 0)

@@ -283,57 +283,34 @@ def brute_girth(obj, g_max: int = 8) -> int | None:
     return best
 
 
-def connected_triple_sets(obj, max_vertices: int) -> int:
-    """Number of non-empty triple sets that are connected through shared
-    vertices and span at most ``max_vertices`` vertices.
+def connected_triple_sets(obj, max_vertices: int) -> dict[frozenset, int]:
+    """The non-empty triple sets that are connected through shared
+    vertices and span at most ``max_vertices`` vertices, as sets of
+    indices into ``obj.triples``, each with the number it spans.
 
     Every subset of up to ``max_vertices - 3`` triples is tried.  That is
     exact when the girth exceeds ``max_vertices``: then any i >= 2
     connected triples span at least i + 3 vertices.
     """
     tris = [frozenset((("r", r), ("c", c), ("s", s))) for r, c, s in obj.triples]
-    count = 0
+    out = {}
     for i in range(1, max_vertices - 2):
-        for sub in itertools.combinations(tris, i):
-            if len(frozenset().union(*sub)) > max_vertices:
+        for sub in itertools.combinations(range(len(tris)), i):
+            span = frozenset().union(*(tris[t] for t in sub))
+            if len(span) > max_vertices:
                 continue
-            reached, rest = set(sub[0]), list(sub[1:])
+            reached, rest = set(tris[sub[0]]), list(sub[1:])
             grew = True
             while grew:
                 grew = False
                 for t in list(rest):
-                    if reached & t:
-                        reached |= t
+                    if reached & tris[t]:
+                        reached |= tris[t]
                         rest.remove(t)
                         grew = True
-            count += not rest
-    return count
-
-
-def brute_embeddings(parts, edges, host) -> int:
-    """Color-preserving injective embeddings, checked by raw enumeration:
-    every injective row map is tried against every pair of injective
-    column and symbol maps, the pairs as one boolean array."""
-    if isinstance(host, (LatinSquare, LatinRectangle)):
-        host = to_triples(host)
-    n = host.n
-    present = np.zeros((n, n, n), dtype=bool)
-    for r, c, s in host.triples:
-        present[r, c, s] = True
-    h1, h2, h3 = parts
-    cmaps = np.array(list(itertools.permutations(range(n), h2)),
-                     dtype=np.intp).reshape(-1, h2)
-    smaps = np.array(list(itertools.permutations(range(n), h3)),
-                     dtype=np.intp).reshape(-1, h3)
-    # hit[e][r, a, b]: row r, column map a and symbol map b place edge e
-    hit = [present[:, cmaps[:, j]][:, :, smaps[:, k]] for _, j, k in edges]
-    count = 0
-    for rmap in itertools.permutations(range(n), h1):
-        ok = np.ones((len(cmaps), len(smaps)), dtype=bool)
-        for h, (i, _, _) in zip(hit, edges):
-            ok &= h[rmap[i]]
-        count += int(ok.sum())
-    return count
+            if not rest:
+                out[frozenset(sub)] = len(span)
+    return out
 
 
 def _triple_safety(state):

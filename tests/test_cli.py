@@ -49,8 +49,7 @@ def test_count_json_format(capsys, xor_square):
 
 
 def test_every_count_verb_emits_json(capsys, xor_square):
-    for verb in ("intercalates", "cuboctahedra", "subsquares", "girth",
-                 "config"):
+    for verb in ("intercalates", "cuboctahedra", "subsquares", "girth"):
         code, out, _ = run(capsys, "count", verb, "--format", "json",
                            xor_square)
         assert code == 0

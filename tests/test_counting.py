@@ -2,7 +2,6 @@
 
 import inspect
 import itertools
-import json
 import sys
 
 import numpy as np
@@ -11,21 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latinlab import counting
-from latinlab.cli import main
 from latinlab.core import (
     InputError,
     LatinSquare,
     TripleSystem,
     group_table,
-    parse_grid,
-    serialize_rectangle,
-    serialize_square,
     to_triples,
 )
 from latinlab.counting import (
     DEGENERACY_LABELS,
     _cells_of,
     _column_pairs,
+    _girth_search,
     _proper_quadruples,
     _same_group_pairs,
     count_cuboctahedra_nondegenerate,
@@ -36,13 +32,17 @@ from latinlab.counting import (
     cuboctahedron_report,
     girth,
 )
-from latinlab.process import collision_filter, sample_sparse_system
+from latinlab.process import (
+    ProcessConfig,
+    collision_filter,
+    run_process,
+    sample_sparse_system,
+)
 from latinlab.rng import RandomStream
 from latinlab.sampling import sample_rectangle, sample_squares
 
 from reference import (
     brute_cuboctahedra,
-    brute_embeddings,
     brute_girth,
     brute_intercalates,
     brute_report,
@@ -428,74 +428,233 @@ def test_girth_matches_brute_on_small_systems(ts):
         assert girth(ts, g_max=g_max) == brute_girth(ts, g_max=g_max)
 
 
+@st.composite
+def intercalate_free_systems(draw):
+    """Up to 14 triples of a sampled square of order 4..8, taken in a
+    shuffled order and kept unless they close an intercalate with the
+    triples kept before them."""
+    n = draw(st.integers(4, 8))
+    rng = RandomStream(draw(st.integers(0, 2**32 - 1)))
+    keep = draw(st.integers(0, 14))
+    kept: dict[tuple[int, int], int] = {}
+    for r, c, s in rng.shuffled(to_triples(sample_squares(n, 1, rng)[0]).triples):
+        if len(kept) == keep:
+            break
+        # the opposite corner (r2, c2) holds s, and the other two corners
+        # a common symbol
+        if not any((r, c2) in kept and kept[r, c2] == kept.get((r2, c))
+                   for (r2, c2), s2 in kept.items() if s2 == s):
+            kept[r, c] = s
+    return TripleSystem(n, [(r, c, s) for (r, c), s in kept.items()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(intercalate_free_systems())
+def test_girth_matches_brute_on_intercalate_free_systems(ts):
+    assert count_intercalates(ts) == 0
+    for g_max in range(4, 9):
+        assert girth(ts, g_max=g_max) == brute_girth(ts, g_max=g_max)
+
+
 # Not Latin: two triples in one cell span 4 vertices, and a third triple
 # through that cell's row and one of its symbols makes 3 triples on 5
 # vertices.  No partial Latin square has girth 5, since 3 triples on 5
 # vertices always hold two that share 2 vertices.  The intercalate at the
 # front makes the search find 6 before the 4 that a later root holds.
+# "latin-eight" puts two symbols on two disjoint broken diagonals of a
+# 3 x 3 block: 6 triples on 8 vertices and no intercalate.  Every 5 of its
+# triples span all 8 vertices, so the search reaches the sixth only
+# through a set that spans the cap.  A system that is not Latin always
+# has girth 4 (two triples share a cell, row symbol or column symbol), so
+# in "eight-then-cell" the later pair in cell (5, 5) decides the answer,
+# after the 3 x 3 block was closed at 8.
+LATIN_EIGHT = [(0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 1, 1), (1, 2, 1),
+               (2, 0, 1)]
 PLANTED = {
     "two-in-one-cell": [(0, 0, 0), (0, 0, 1)],
     "five-vertex": [(0, 0, 0), (0, 0, 1), (0, 1, 0)],
     "intercalate": [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)],
     "intercalate-then-cell": [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0),
                               (2, 2, 2), (2, 2, 0)],
+    "latin-eight": LATIN_EIGHT,
+    "eight-then-cell": LATIN_EIGHT + [(5, 5, 5), (5, 5, 4)],
 }
 
 
 @pytest.mark.parametrize("name", sorted(PLANTED))
 def test_girth_of_planted_configurations(name):
-    ts = TripleSystem(3, PLANTED[name])
-    for g_max in range(4, 9):
-        assert girth(ts, g_max=g_max) == brute_girth(ts, g_max=g_max)
+    ts = TripleSystem(6, PLANTED[name])
+    for g_max in range(4, 10):
+        expected = brute_girth(ts, g_max=g_max)
+        assert girth(ts, g_max=g_max) == expected
+        assert _girth_search(ts, g_max, 4) == expected
 
 
-def _girth_states(ts, g_max):
-    """girth(ts, g_max) and, for each state the search enters (a call of
-    its inner ``grow``, whose locals are read here), the number of
-    vertices it spans and the best girth found before it."""
-    grow = next(c for c in girth.__code__.co_consts
-                if getattr(c, "co_name", None) == "grow")
-    states = []
+def _inner(*names):
+    return {c for c in _girth_search.__code__.co_consts
+            if getattr(c, "co_name", None) in names}
 
-    def watch(frame, event, arg):
-        if event == "call" and frame.f_code is grow:
-            states.append((frame.f_locals["spanned"].bit_count(),
-                           frame.f_locals["best"]))
 
+def _watched(watch, search, *args):
+    """search(*args) with ``watch`` as the profile function."""
     old = sys.getprofile()
     sys.setprofile(watch)
     try:
-        found = girth(ts, g_max=g_max)
+        return search(*args)
     finally:
         sys.setprofile(old)
-    return found, states
 
 
-@pytest.mark.parametrize("n,g_max", [(5, 6), (6, 6), (8, 7), (8, 8)])
+def _girth_states(search, *args):
+    """search(*args) and, for each state the girth search enters (a call
+    of its inner ``grow``, or of ``close`` for a set spanning the cap,
+    whose locals and callers' locals are read here): whether it spans
+    the cap, its members (the root and the triple each enclosing
+    ``grow`` is adding), the number of vertices it spans and the best
+    girth found before it."""
+    grow, close = _inner("grow"), _inner("close")
+    states = []
+
+    def watch(frame, event, arg):
+        if event != "call" or frame.f_code not in grow | close:
+            return
+        at_cap = frame.f_code in close
+        f, members = frame.f_back, set()
+        while f.f_code in grow:
+            members.add(f.f_locals["w"])
+            f = f.f_back
+        members.add((frame.f_back if at_cap else frame).f_locals["root"])
+        states.append((at_cap, frozenset(members),
+                       frame.f_locals["spanned"].bit_count(),
+                       frame.f_locals["best"]))
+
+    return _watched(watch, search, *args), states
+
+
+def _check_miss_states(states, ts, g_max):
+    # every connected set below the cap is entered once, by ``grow``;
+    # every connected set spanning the cap holds one that ``close``
+    # entered on the same span, and ``close`` enters each set once
+    sets = connected_triple_sets(ts, g_max)
+    below = [m for at_cap, m, _, _ in states if not at_cap]
+    closed = [m for at_cap, m, _, _ in states if at_cap]
+    assert len(below) == len(set(below))
+    assert set(below) == {m for m, v in sets.items() if v < g_max}
+    assert len(closed) == len(set(closed))
+    assert all(sets.get(m) == g_max for m in closed)
+    assert all(any(c <= m for c in closed)
+               for m, v in sets.items() if v == g_max)
+
+
+@pytest.mark.parametrize("n,g_max", [(5, 6), (6, 6), (8, 7), (8, 8), (9, 9)])
 def test_girth_search_enters_each_connected_set_once(n, g_max):
-    # On a miss every connected set spanning at most g_max vertices is a
-    # state, and ESU enters each one once, from its least triple.
+    # On a miss ESU reaches every connected set spanning at most g_max
+    # vertices once, from its least triple, but does not grow a set that
+    # spans the cap.  The search without the Latin floor runs at every
+    # cap; girth() on these Latin inputs searches only from g_max 8 on.
     rng = RandomStream(700 + n + g_max)
+    misses = 0
     for _ in range(20):
         full = to_triples(sample_squares(n, 1, rng)[0]).triples
         ts = TripleSystem(n, rng.shuffled(full)[:rng.randrange(13)])
         if brute_girth(ts, g_max=g_max) is None:
-            found, states = _girth_states(ts, g_max)
+            misses += 1
+            found, states = _girth_states(_girth_search, ts, g_max, 4)
             assert found is None
-            assert len(states) == connected_triple_sets(ts, g_max)
+            _check_miss_states(states, ts, g_max)
+            found, latin_states = _girth_states(girth, ts, g_max)
+            assert found is None
+            assert latin_states == (states if g_max >= 8 else [])
+    assert misses
 
 
 def test_girth_search_prunes_at_the_best_girth_found():
     # after a hit at g, no state spans g or more vertices: such a set
     # cannot grow into a configuration on fewer vertices
+    rng = RandomStream(710)
+    runs = [(TripleSystem(5, [(rng.randrange(5), rng.randrange(5),
+                               rng.randrange(5)) for _ in range(10)]), 6)
+            for _ in range(12)]
+    # the 3 x 3 block of girth 8, then later roots on other lines
+    runs.append((TripleSystem(6, LATIN_EIGHT + [
+        (3, 3, 2), (3, 4, 3), (4, 3, 4), (4, 5, 2), (5, 4, 4)]), 9))
     pruned = 0
-    for i in range(4):
-        sq = sample_squares(6, 1, RandomStream(710 + i))[0]
-        found, states = _girth_states(sq, 8)
-        assert found == brute_girth(sq, g_max=6) == 6
-        assert all(best is None or v < best for v, best in states)
-        pruned += sum(best is not None for _, best in states)
+    for ts, g_max in runs:
+        found, states = _girth_states(girth, ts, g_max)
+        assert found == brute_girth(ts, g_max=g_max)
+        assert all(best is None or v < best for _, _, v, best in states)
+        pruned += sum(best is not None for _, _, _, best in states)
     assert pruned > 0
+
+
+def _close_calls(search, *args):
+    """search(*args) and, for each call of its inner ``close``, the
+    member count of the state, its vertex bitmask and whether it was
+    recorded as a hit."""
+    close = _inner("close")
+    calls, entered = [], []
+
+    def watch(frame, event, arg):
+        if frame.f_code not in close:
+            return
+        if event == "call":
+            entered.append((frame.f_back.f_locals["size"] + 1,
+                            frame.f_locals["spanned"],
+                            frame.f_locals["best"]))
+        elif event == "return":
+            members, spanned, before = entered.pop()
+            calls.append((members, spanned,
+                          frame.f_locals["best"] != before))
+
+    return _watched(watch, search, *args), calls
+
+
+def test_cap_states_close_exactly_when_enough_triples_lie_inside():
+    # a set spanning the cap is a hit iff at least span - 2 triples lie
+    # inside its span; the planted 3 x 3 block is closed from a state of
+    # 4 members, with two more triples inside
+    runs = [(girth, TripleSystem(6, LATIN_EIGHT), 8),
+            (_girth_search, TripleSystem(6, LATIN_EIGHT), 8, 4),
+            (_girth_search, TripleSystem(6, LATIN_EIGHT), 9, 4),
+            (girth, TripleSystem(6, PLANTED["eight-then-cell"]), 8)]
+    rng = RandomStream(730)
+    for _ in range(6):
+        full = to_triples(sample_squares(8, 1, rng)[0]).triples
+        runs.append((_girth_search, TripleSystem(8, rng.shuffled(full)[:14]),
+                     7, 4))
+    extras = []
+    for search, ts, *args in runs:
+        n = ts.n
+        masks = [(1 << r) | (1 << (n + c)) | (1 << (2 * n + s))
+                 for r, c, s in ts.triples]
+        _, calls = _close_calls(search, ts, *args)
+        assert calls
+        for members, spanned, hit in calls:
+            inside = sum(m | spanned == spanned for m in masks)
+            assert hit == (inside >= spanned.bit_count() - 2)
+            if hit:
+                extras.append(inside - members)
+    assert max(extras) >= 2
+
+
+def test_girth_of_a_sparse_system_skips_its_single_rows():
+    # one triple per row, on distinct columns and symbols: no row can be
+    # in an intercalate, so the kernel gets no rows; a planted
+    # intercalate on two more rows is found
+    triples = [(r, 3 * r, 7 * r) for r in range(50)]
+    block = [(398, 390, 390), (398, 391, 391), (399, 390, 391),
+             (399, 391, 390)]
+    for g_max in (6, 8):
+        assert girth(TripleSystem(400, triples), g_max=g_max) is None
+        assert girth(TripleSystem(400, triples + block), g_max=g_max) == 6
+
+
+def test_girth_of_a_girth_six_process_output_past_six():
+    # girth 7 is impossible in a partial Latin square; the search without
+    # the floor agrees on the same intercalate-free input
+    placed = run_process(24, RandomStream(0), ProcessConfig(girth=6)).placed
+    assert girth(placed, g_max=7) is None
+    assert _girth_search(placed, 7, 4) is None
 
 
 @pytest.mark.parametrize("triples", [
@@ -516,75 +675,3 @@ def test_girth_none_when_capped_below_six():
 def test_girth_cap_enforced():
     with pytest.raises(ValueError):
         girth(TripleSystem(2, [(0, 0, 0)]), g_max=13)
-
-
-# The configurations `latinlab count config` embeds, as class-local
-# (row, column, symbol) edges on parts of sizes (2, 2, 2) and (4, 4, 4):
-# the intercalate, and the nondegenerate cuboctahedron, two quadruples on
-# disjoint rows and columns with the same pattern of 4 distinct symbols.
-INTERCALATE_EDGES = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
-CUBOCTAHEDRON_EDGES = tuple((block + i, block + j, 2 * i + j)
-                            for block in (0, 2) for i in (0, 1)
-                            for j in (0, 1))
-
-
-@pytest.fixture()
-def config_grids(tmp_path):
-    """Grid files of each kind `count config` reads, by path, with the
-    grid each holds: the order-4 XOR square, a sampled order-6 square, a
-    3 x 6 rectangle and that square with its diagonal emptied."""
-    sq = sample_squares(6, 1, RandomStream(61))[0]
-    rect = sample_rectangle(3, 6, RandomStream(63))
-    rows = sq.grid.tolist()
-    partial = "6\n" + "".join(
-        " ".join("." if r == c else str(v) for c, v in enumerate(row)) + "\n"
-        for r, row in enumerate(rows))
-    texts = {
-        "xor4": serialize_square(group_table("elementary-abelian-2", 2)),
-        "square6": serialize_square(sq),
-        "rect3x6": serialize_rectangle(rect),
-        "partial6": partial,
-    }
-    grids = {}
-    for name, text in texts.items():
-        path = tmp_path / f"{name}.txt"
-        path.write_text(text)
-        grids[str(path)] = parse_grid(text)
-    return grids
-
-
-def _config_value(capsys, name, path) -> int:
-    """The value `latinlab count config --name NAME PATH` prints, checked
-    to be the same in its CSV and JSON output."""
-    assert main(["count", "config", "--name", name, path]) == 0
-    header, row = capsys.readouterr().out.splitlines()
-    assert header == "input,metric,value"
-    label, metric, value = row.split(",")
-    assert (label, metric) == (path, f"config_{name}")
-    assert main(["count", "config", "--name", name, "--format", "json",
-                 path]) == 0
-    assert json.loads(capsys.readouterr().out) == [
-        {"input": path, "metric": f"config_{name}", "value": int(value)}]
-    return int(value)
-
-
-def test_intercalate_configuration_embeddings(capsys, config_grids):
-    # 4 labeled embeddings (2 row orders x 2 column orders) per copy
-    values = []
-    for path, host in config_grids.items():
-        values.append(_config_value(capsys, "intercalate", path))
-        assert values[-1] == brute_embeddings(
-            (2, 2, 2), INTERCALATE_EDGES, host)
-    assert values[0] == 4 * 12
-    assert all(values)  # every grid holds an intercalate
-
-
-def test_cuboctahedron_configuration_embeddings(capsys, config_grids):
-    # labeled embeddings correspond 1:1 to ordered nondegenerate pairs:
-    # the ordered quadruple sweep already carries the automorphisms
-    values = []
-    for path, host in config_grids.items():
-        values.append(_config_value(capsys, "cuboctahedron", path))
-        assert values[-1] == brute_embeddings(
-            (4, 4, 4), CUBOCTAHEDRON_EDGES, host)
-    assert values[0] == 96
