@@ -31,7 +31,6 @@ from .counting import (
 from .rng import RandomStream, substream
 from .sampling import (
     SamplerConfig,
-    enumerate_squares,
     sample_rectangle,
     sample_rectangles,
     sample_squares,
@@ -58,7 +57,6 @@ __all__ = [
     "RandomStream",
     "substream",
     "SamplerConfig",
-    "enumerate_squares",
     "sample_rectangle",
     "sample_rectangles",
     "sample_squares",

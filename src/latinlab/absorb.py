@@ -174,11 +174,8 @@ class PathCover:
     6-cycles.
     """
 
-    def __init__(self, x_sizes: tuple[int, int, int], mu: int | None = None):
+    def __init__(self, x_sizes: tuple[int, int, int], mu: int):
         m1, m2, m3 = x_sizes
-        total = m1 + m2 + m3
-        if mu is None:
-            mu = 12 * total * total
         if mu < 1 or mu % 2:
             raise InputError("multiplicity must be a positive even number")
         self.x_sizes = (m1, m2, m3)
@@ -322,9 +319,11 @@ def cover_with_short_cycles(l_graph: TripartiteGraph,
     workable one wins."""
     tries = [mu] if mu is not None else list(range(2, MU_CAP + 1, 2))
     last_err: Exception | None = None
+    # shorten_cycles copies the cycles it cuts, so one decomposition
+    # serves every try
+    base = decompose_into_tripartite_cycles(l_graph)
     for m in tries:
         cover = PathCover(x_sizes, m)
-        base = decompose_into_tripartite_cycles(l_graph)
         try:
             short = shorten_cycles(base, cover)
         except RegistryExhausted as err:
@@ -643,8 +642,7 @@ class AbsorberDemo:
         return all(c.cover_ok and c.girth_found is None for c in self.cases)
 
 
-def absorber_demo(g: int = 6,
-                  gadget: RootedGadget | None = None) -> AbsorberDemo:
+def absorber_demo(g: int = 6) -> AbsorberDemo:
     """Assemble and certify the full absorber at one X vertex per part.
 
     At this size the path cover is empty, so the cycle stage is a
@@ -658,10 +656,7 @@ def absorber_demo(g: int = 6,
     """
     if not 2 <= g <= 10:
         raise InputError("demo supports 2 <= g <= 10")
-    if gadget is None:
-        gadget = reference_c3_gadget()
-    if gadget.h_name != "C3":
-        raise InputError("demo absorbs through a C3 gadget")
+    gadget = reference_c3_gadget()
     x_edges = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
     cases = []
     for mask in range(8):

@@ -211,15 +211,18 @@ def _cmd_count(args) -> int:
 
 def _cmd_sample(args) -> int:
     rng = RandomStream(args.seed)
-    cfg = (SamplerConfig() if args.burnin is None
-           else SamplerConfig(burn_in_factor=args.burnin))
     if args.kind == "square":
+        cfg = (SamplerConfig() if args.burnin is None
+               else SamplerConfig(burn_in_factor=args.burnin))
         squares = sample_squares(args.n, args.count, rng, cfg)
         text = "".join(serialize_square(sq) for sq in squares)
     else:
         if args.k is None:
             raise InputError("sample rectangle needs --k")
-        rects = sample_rectangles(args.k, args.n, args.count, rng, cfg)
+        if args.burnin is not None:
+            raise InputError("--burnin is for sample square: rectangles "
+                             "are exact rejection draws, with no chain")
+        rects = sample_rectangles(args.k, args.n, args.count, rng)
         text = "".join(serialize_rectangle(r) for r in rects)
     _write_out(text, args.out)
     return 0
@@ -478,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--burnin", type=float,
                           help="burn-in in units of n^2 proper visits "
-                          "(about n^3 moves)")
+                          "(about n^3 moves; square only)")
     p_sample.add_argument("--out")
     p_sample.set_defaults(fn=_cmd_sample)
 

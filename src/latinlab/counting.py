@@ -62,10 +62,12 @@ columns and c symbols hold at most min(ab, bc, ca) triples; that rules
 out g = 4, 5 and 7 and leaves at g = 6 only the filled 2 x 2 block.  So
 girth 6 is exactly an intercalate, found by the grid kernel on the rows
 holding two triples, and an intercalate-free partial square has girth at
-least 8.  Past that, and for inputs that are not Latin, a smallest
-configuration is a connected triple set, and the search generates each
-connected set spanning at most g_max vertices once, from its least
-member, by Wernicke's ESU enumeration: a set grows only by triples from
+least 8.  A system that is not Latin has two triples sharing a cell, a
+row symbol or a column symbol, which span 4 vertices, so its girth is 4.
+Past that, in an intercalate-free Latin input, a smallest configuration
+is a connected triple set, and the search generates each connected set
+spanning at most g_max vertices once, from its least member, by
+Wernicke's ESU enumeration: a set grows only by triples from
 its extension list, which gains, with each added triple, the triples
 above the root that meet it and nothing the set already spans.  No set
 of visited states is kept.  A set whose span already equals the cap is
@@ -542,16 +544,17 @@ def girth(obj, g_max: int = 12) -> int | None:
     strictly sparser, i.e. the girth exceeds g_max.  Systems need not be
     Latin, but a coordinate outside range(n) raises InputError.
 
-    Latin floor: two vertices of a partial Latin square lie in at most
-    one triple, so a rows, b columns and c symbols hold at most
-    min(ab, bc, ca) triples.  With a + b + c = g that is below g - 2 for
-    g = 4, 5 and 7 (at best 1, 2 and 4, from 2 + 1 + 1, 2 + 2 + 1 and
-    3 + 2 + 2), and at g = 6 only 2 + 2 + 2 reaches 4: four triples
-    filling a 2 x 2 block, an intercalate.  So a Latin input has girth 6
-    exactly when ``_intercalates`` finds one on its symbol grid (only
-    rows holding two triples can be in one, so the others are dropped
-    first), and otherwise no girth below 8, from which the search of
-    ``_girth_search`` starts.  Other inputs are searched from 4.
+    A system that is not Latin has two triples that agree in two
+    coordinates, and so span 4 vertices: its girth is 4.  Latin floor:
+    two vertices of a partial Latin square lie in at most one triple, so
+    a rows, b columns and c symbols hold at most min(ab, bc, ca) triples.
+    With a + b + c = g that is below g - 2 for g = 4, 5 and 7 (at best
+    1, 2 and 4, from 2 + 1 + 1, 2 + 2 + 1 and 3 + 2 + 2), and at g = 6
+    only 2 + 2 + 2 reaches 4: four triples filling a 2 x 2 block, an
+    intercalate.  So a Latin input has girth 6 exactly when
+    ``_intercalates`` finds one on its symbol grid (only rows holding two
+    triples can be in one, so the others are dropped first), and
+    otherwise no girth below 8, from which ``_girth_search`` starts.
     """
     if isinstance(obj, (LatinSquare, LatinRectangle)):
         obj = to_triples(obj)
@@ -560,20 +563,29 @@ def girth(obj, g_max: int = 12) -> int | None:
     if g_max > 12:
         raise InputError("girth search is desk-capped at g_max <= 12")
     if not validate(obj):
-        return _girth_search(obj, g_max, 4)
+        # validate names only the first violation, which may be a clash
+        # sorted before an out-of-range triple
+        n = obj.n
+        for t in obj.triples:
+            if not all(0 <= x < n for x in t):
+                raise InputError(f"coordinate out of range in {t}")
+        return 4 if g_max >= 4 else None
     if g_max < 6:
         return None
     grid = obj.cell_grid()
     grid = grid[(grid >= 0).sum(axis=1) >= 2]
     if _intercalates(np.where(grid < 0, obj.n, grid)[None])[0]:
         return 6
-    return None if g_max < 8 else _girth_search(obj, g_max, 8)
+    return None if g_max < 8 else _girth_search(obj, g_max)
 
 
-def _girth_search(ts: TripleSystem, g_max: int, floor: int) -> int | None:
-    """girth(ts, g_max) by search, where no configuration spans fewer
-    than ``floor`` vertices: 4 in general, 8 in a partial Latin square
-    without intercalates (see ``girth``).
+def _girth_search(ts: TripleSystem, g_max: int) -> int | None:
+    """girth(ts, g_max) by search, for an intercalate-free partial Latin
+    square, which ``girth`` has checked: no configuration of such a
+    system spans fewer than 8 vertices (see ``girth``), so the roots stop
+    once the best girth found is 8.  The enumeration itself is exact on
+    any system with coordinates in range(n), so on a Latin input with
+    intercalates it is exact too while g_max < 8.
 
     The search lists every connected triple set whose least member is
     the root exactly once (Wernicke's ESU enumeration, with triples as
@@ -581,9 +593,8 @@ def _girth_search(ts: TripleSystem, g_max: int, floor: int) -> int | None:
     states is kept.  A state is its member count, the bitmask of the
     vertices it spans and its extension list.  Vertex counts only grow
     along a branch, so a triple that would take the span past the cap
-    (g_max, then one below the best girth found) is skipped, a set
-    spanning |members| + 2 vertices is recorded and not extended, and
-    the roots stop once the best girth is the floor.
+    (g_max, then one below the best girth found) is skipped, and a set
+    spanning |members| + 2 vertices is recorded and not extended.
 
     Cap states: a set whose span V equals the cap can only grow by
     triples inside V, so it is entered by ``close``, which copies and
@@ -596,11 +607,7 @@ def _girth_search(ts: TripleSystem, g_max: int, floor: int) -> int | None:
     (row, column) -> symbol-bits index over V's rows and columns.
     """
     n = ts.n
-    # vertex ids r, n + c, 2n + s are the bit positions; an entry outside
-    # range(n), which a TripleSystem keeps, would alias another part
-    for t in ts.triples:
-        if not all(0 <= x < n for x in t):
-            raise InputError(f"coordinate out of range in {t}")
+    # vertex ids r, n + c, 2n + s are the bit positions
     tris = [(r, n + c, 2 * n + s) for r, c, s in ts.triples]
     masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in tris]
     incident: list[list[int]] = [[] for _ in range(3 * n)]
@@ -667,7 +674,7 @@ def _girth_search(ts: TripleSystem, g_max: int, floor: int) -> int | None:
             cap = count - 1
 
     for root in range(len(tris)):
-        if best == floor:
+        if best == 8:
             break
         ext: list[int] = []
         extend(ext, root, root, 0)

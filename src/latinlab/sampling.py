@@ -249,41 +249,6 @@ def autocorrelation_time(chains) -> float:
     return tau
 
 
-def enumerate_squares(n: int) -> list[LatinSquare]:
-    """Every order-n Latin square, n <= 5 (576 at n = 4, 161280 at n = 5),
-    in lexicographic order of the cells read row by row."""
-    if not 1 <= n <= 5:
-        raise InputError("exhaustive enumeration is capped at n <= 5")
-    full = (1 << n) - 1
-    last = n * (n - 1)
-    cells = [0] * last
-    row_used = [0] * n
-    col_used = [0] * n
-    found: list[list[int]] = []
-
-    def fill(pos: int) -> None:
-        if pos == last:
-            # an (n-1) x n Latin rectangle completes in one way: each
-            # column takes the one symbol it lacks
-            found.append(cells + [(full & ~u).bit_length() - 1
-                                  for u in col_used])
-            return
-        r, c = divmod(pos, n)
-        free = full & ~(row_used[r] | col_used[c])
-        while free:  # the free symbols, lowest first
-            bit = free & -free
-            free ^= bit
-            cells[pos] = bit.bit_length() - 1
-            row_used[r] |= bit
-            col_used[c] |= bit
-            fill(pos + 1)
-            row_used[r] ^= bit
-            col_used[c] ^= bit
-
-    fill(0)
-    return [LatinSquare(g) for g in np.array(found).reshape(-1, n, n)]
-
-
 # candidate entries (batch rows x n) drawn at once, which keeps memory flat
 _BATCH_ENTRIES = 1 << 16
 

@@ -38,7 +38,6 @@ from latinlab.fracdec import (
     part_imbalance,
 )
 from latinlab.rng import RandomStream
-from latinlab.sampling import enumerate_squares
 
 
 def _filled_cells(obj):
@@ -454,6 +453,17 @@ def reduced_squares(n: int) -> np.ndarray:
     return np.array(out).reshape(-1, n, n)
 
 
+def all_squares(n: int) -> np.ndarray:
+    """Every order-n square, stacked: each reduced square with its rows
+    1..n-1 permuted and then its symbols relabelled.  Undoing the two
+    steps (relabel so that row 0 reads 0..n-1, then sort rows 1..n-1 by
+    their first entry) takes every square to exactly one reduced square,
+    so these n! (n-1)! images of each are all distinct."""
+    orders = np.array([(0,) + p for p in itertools.permutations(range(1, n))])
+    labels = np.array(list(itertools.permutations(range(n))))
+    return labels[:, reduced_squares(n)[:, orders]].reshape(-1, n, n)
+
+
 def intercalate_law(grids: np.ndarray, weight: int = 1) -> dict[int, int]:
     """N -> number of squares with that many intercalates, over a stack
     of grids that each stand for ``weight`` squares."""
@@ -471,14 +481,10 @@ def intercalate_law(grids: np.ndarray, weight: int = 1) -> dict[int, int]:
 def exact_intercalate_law(n: int) -> dict[int, int]:
     """N -> number of order-n squares with N intercalates, n <= 6.
 
-    n <= 5 counts every square of ``enumerate_squares``.  n = 6 counts
-    the 9,408 reduced squares, each standing for n! (n-1)! squares:
-    relabelling the symbols and then permuting the rows below the first
-    takes each square to exactly one reduced square, and neither step
-    changes N.
+    Each reduced square stands for the n! (n-1)! squares that
+    ``all_squares`` builds from it, and neither permuting rows nor
+    relabelling symbols changes N.
     """
-    if n <= 5:
-        return intercalate_law(np.stack([sq.grid for sq in enumerate_squares(n)]))
     return intercalate_law(reduced_squares(n),
                            math.factorial(n) * math.factorial(n - 1))
 

@@ -27,7 +27,7 @@ from latinlab.absorb import (
     sphere_certificates_ok,
     sphere_cover,
 )
-from latinlab.core import group_table, to_triples
+from latinlab.core import LatinSquare, group_table, to_triples
 from latinlab.counting import (
     _girth_search,
     count_cuboctahedra_total,
@@ -55,9 +55,14 @@ from latinlab.process import (
     run_process,
 )
 from latinlab.rng import RandomStream, substream
-from latinlab.sampling import enumerate_squares, sample_rectangle, sample_squares
+from latinlab.sampling import sample_rectangle, sample_squares
 
-from reference import brute_intercalates, brute_report, graph_triangles
+from reference import (
+    all_squares,
+    brute_intercalates,
+    brute_report,
+    graph_triangles,
+)
 
 
 def _verdict(name: str, ok: bool, detail: str) -> bool:
@@ -114,11 +119,12 @@ def test_fast_counters_match_brute_force():
 
 def test_girth_six_threshold_matches_intercalate_freeness():
     # girth() answers g_max 6 on Latin input with the intercalate kernel,
-    # so the configuration search runs here without the Latin floor
+    # so the configuration search runs here directly; it stops its roots
+    # only at 8, so it is exact on these squares below that
     t0 = time.perf_counter()
-    pool = enumerate_squares(4)
+    pool = [LatinSquare(g) for g in all_squares(4)]
     pool += [sample_squares(12, 1, substream(303, i))[0] for i in range(100)]
-    bad = sum((_girth_search(to_triples(sq), 6, 4) is None)
+    bad = sum((_girth_search(to_triples(sq), 6) is None)
               != (count_intercalates(sq) == 0) for sq in pool)
     elapsed = time.perf_counter() - t0
     ok = len(pool) == 676 and bad == 0 and elapsed < 120

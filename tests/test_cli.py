@@ -159,6 +159,15 @@ def test_sample_rectangle_requires_k(capsys):
     assert "--k" in err
 
 
+def test_sample_rectangle_rejects_burnin(capsys):
+    # rectangles are exact rejection draws, so a burn-in would be ignored
+    code, out, err = run(capsys, "sample", "rectangle", "--n", "8", "--k",
+                         "2", "--burnin", "3")
+    assert code == 2
+    assert out == ""
+    assert "--burnin" in err
+
+
 def test_process_run_trajectory_and_final(capsys, tmp_path):
     final = tmp_path / "final.txt"
     code, out, _ = run(capsys, "process", "run", "--n", "10", "--g", "6",

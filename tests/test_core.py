@@ -1,6 +1,8 @@
 """Structures, validation, and the text formats."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from latinlab.core import (
     to_triples,
     validate,
 )
+import latinlab
 from latinlab.rng import RandomStream
 from latinlab.sampling import sample_squares
 
@@ -304,3 +307,21 @@ def test_from_array_equals_the_tuple_constructor(n, data):
     for again in (fast.array, np.repeat(fast.array, 2, axis=0)):
         assert np.array_equal(TripleSystem.from_array(n, again).array,
                               slow.array)
+
+
+def test_all_names_exactly_the_package_exports():
+    # the names latinlab/__init__.py binds by import or assignment, read
+    # from its source, so that an export dropped from one list but not
+    # the other fails here
+    tree = ast.parse(Path(latinlab.__file__).read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    bound.discard("__all__")
+    assert len(latinlab.__all__) == len(set(latinlab.__all__))
+    assert set(latinlab.__all__) == bound
+    for name in latinlab.__all__:
+        assert getattr(latinlab, name) is not None

@@ -16,6 +16,7 @@ from latinlab.core import (
     TripleSystem,
     group_table,
     to_triples,
+    validate,
 )
 from latinlab.counting import (
     DEGENERACY_LABELS,
@@ -38,7 +39,7 @@ from latinlab.process import (
     run_process,
     sample_sparse_system,
 )
-from latinlab.rng import RandomStream
+from latinlab.rng import RandomStream, substream
 from latinlab.sampling import sample_rectangle, sample_squares
 
 from reference import (
@@ -424,18 +425,14 @@ def small_triple_systems(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_triple_systems())
 def test_girth_matches_brute_on_small_systems(ts):
-    for g_max in range(4, 9):
+    for g_max in range(2, 10):
         assert girth(ts, g_max=g_max) == brute_girth(ts, g_max=g_max)
 
 
-@st.composite
-def intercalate_free_systems(draw):
-    """Up to 14 triples of a sampled square of order 4..8, taken in a
+def _intercalate_free_subset(n: int, keep: int, rng: RandomStream):
+    """Up to ``keep`` triples of a sampled order-n square, taken in a
     shuffled order and kept unless they close an intercalate with the
     triples kept before them."""
-    n = draw(st.integers(4, 8))
-    rng = RandomStream(draw(st.integers(0, 2**32 - 1)))
-    keep = draw(st.integers(0, 14))
     kept: dict[tuple[int, int], int] = {}
     for r, c, s in rng.shuffled(to_triples(sample_squares(n, 1, rng)[0]).triples):
         if len(kept) == keep:
@@ -446,6 +443,15 @@ def intercalate_free_systems(draw):
                    for (r2, c2), s2 in kept.items() if s2 == s):
             kept[r, c] = s
     return TripleSystem(n, [(r, c, s) for (r, c), s in kept.items()])
+
+
+@st.composite
+def intercalate_free_systems(draw):
+    """Up to 14 intercalate-free triples of a sampled square of order
+    4..8."""
+    n = draw(st.integers(4, 8))
+    rng = RandomStream(draw(st.integers(0, 2**32 - 1)))
+    return _intercalate_free_subset(n, draw(st.integers(0, 14)), rng)
 
 
 @settings(max_examples=40, deadline=None)
@@ -459,15 +465,13 @@ def test_girth_matches_brute_on_intercalate_free_systems(ts):
 # Not Latin: two triples in one cell span 4 vertices, and a third triple
 # through that cell's row and one of its symbols makes 3 triples on 5
 # vertices.  No partial Latin square has girth 5, since 3 triples on 5
-# vertices always hold two that share 2 vertices.  The intercalate at the
-# front makes the search find 6 before the 4 that a later root holds.
-# "latin-eight" puts two symbols on two disjoint broken diagonals of a
-# 3 x 3 block: 6 triples on 8 vertices and no intercalate.  Every 5 of its
-# triples span all 8 vertices, so the search reaches the sixth only
-# through a set that spans the cap.  A system that is not Latin always
-# has girth 4 (two triples share a cell, row symbol or column symbol), so
-# in "eight-then-cell" the later pair in cell (5, 5) decides the answer,
-# after the 3 x 3 block was closed at 8.
+# vertices always hold two that share 2 vertices.  A system that is not
+# Latin always has girth 4 (two triples share a cell, row symbol or
+# column symbol), also when an intercalate or the 3 x 3 block below sorts
+# before its clash.  "latin-eight" puts two symbols on two disjoint
+# broken diagonals of a 3 x 3 block: 6 triples on 8 vertices and no
+# intercalate.  Every 5 of its triples span all 8 vertices, so the search
+# reaches the sixth only through a set that spans the cap.
 LATIN_EIGHT = [(0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 1, 1), (1, 2, 1),
                (2, 0, 1)]
 PLANTED = {
@@ -484,10 +488,28 @@ PLANTED = {
 @pytest.mark.parametrize("name", sorted(PLANTED))
 def test_girth_of_planted_configurations(name):
     ts = TripleSystem(6, PLANTED[name])
+    searchable = validate(ts) and count_intercalates(ts) == 0
     for g_max in range(4, 10):
         expected = brute_girth(ts, g_max=g_max)
         assert girth(ts, g_max=g_max) == expected
-        assert _girth_search(ts, g_max, 4) == expected
+        if searchable:
+            assert _girth_search(ts, g_max) == expected
+
+
+def test_girth_of_a_clash_does_not_search(monkeypatch):
+    # the girth-6 process output of the benchmark's miss, plus a second
+    # symbol in its last filled cell: girth 4 at every cap from 4
+    placed = run_process(24, substream(0, 901), ProcessConfig(girth=6)).placed
+    r, c, s = placed.triples[-1]
+    ts = TripleSystem(24, placed.triples + ((r, c, (s + 1) % 24),))
+
+    def no_search(*args):
+        raise AssertionError("girth searched a system that is not Latin")
+
+    monkeypatch.setattr(counting, "_girth_search", no_search)
+    for g_max in (6, 7, 12):
+        assert girth(ts, g_max=g_max) == 4
+    assert girth(ts, g_max=3) is None
 
 
 def _inner(*names):
@@ -550,8 +572,8 @@ def _check_miss_states(states, ts, g_max):
 def test_girth_search_enters_each_connected_set_once(n, g_max):
     # On a miss ESU reaches every connected set spanning at most g_max
     # vertices once, from its least triple, but does not grow a set that
-    # spans the cap.  The search without the Latin floor runs at every
-    # cap; girth() on these Latin inputs searches only from g_max 8 on.
+    # spans the cap.  Called directly the search runs at every cap;
+    # girth() on these Latin inputs searches only from g_max 8 on.
     rng = RandomStream(700 + n + g_max)
     misses = 0
     for _ in range(20):
@@ -559,7 +581,7 @@ def test_girth_search_enters_each_connected_set_once(n, g_max):
         ts = TripleSystem(n, rng.shuffled(full)[:rng.randrange(13)])
         if brute_girth(ts, g_max=g_max) is None:
             misses += 1
-            found, states = _girth_states(_girth_search, ts, g_max, 4)
+            found, states = _girth_states(_girth_search, ts, g_max)
             assert found is None
             _check_miss_states(states, ts, g_max)
             found, latin_states = _girth_states(girth, ts, g_max)
@@ -572,9 +594,7 @@ def test_girth_search_prunes_at_the_best_girth_found():
     # after a hit at g, no state spans g or more vertices: such a set
     # cannot grow into a configuration on fewer vertices
     rng = RandomStream(710)
-    runs = [(TripleSystem(5, [(rng.randrange(5), rng.randrange(5),
-                               rng.randrange(5)) for _ in range(10)]), 6)
-            for _ in range(12)]
+    runs = [(_intercalate_free_subset(5, 14, rng), 9) for _ in range(12)]
     # the 3 x 3 block of girth 8, then later roots on other lines
     runs.append((TripleSystem(6, LATIN_EIGHT + [
         (3, 3, 2), (3, 4, 3), (4, 3, 4), (4, 5, 2), (5, 4, 4)]), 9))
@@ -614,14 +634,11 @@ def test_cap_states_close_exactly_when_enough_triples_lie_inside():
     # inside its span; the planted 3 x 3 block is closed from a state of
     # 4 members, with two more triples inside
     runs = [(girth, TripleSystem(6, LATIN_EIGHT), 8),
-            (_girth_search, TripleSystem(6, LATIN_EIGHT), 8, 4),
-            (_girth_search, TripleSystem(6, LATIN_EIGHT), 9, 4),
-            (girth, TripleSystem(6, PLANTED["eight-then-cell"]), 8)]
+            (_girth_search, TripleSystem(6, LATIN_EIGHT), 8),
+            (_girth_search, TripleSystem(6, LATIN_EIGHT), 9)]
     rng = RandomStream(730)
     for _ in range(6):
-        full = to_triples(sample_squares(8, 1, rng)[0]).triples
-        runs.append((_girth_search, TripleSystem(8, rng.shuffled(full)[:14]),
-                     7, 4))
+        runs.append((_girth_search, _intercalate_free_subset(8, 14, rng), 7))
     extras = []
     for search, ts, *args in runs:
         n = ts.n
@@ -650,16 +667,18 @@ def test_girth_of_a_sparse_system_skips_its_single_rows():
 
 
 def test_girth_of_a_girth_six_process_output_past_six():
-    # girth 7 is impossible in a partial Latin square; the search without
-    # the floor agrees on the same intercalate-free input
+    # girth 7 is impossible in a partial Latin square; the search, which
+    # girth() starts only from g_max 8, agrees on the same input
     placed = run_process(24, RandomStream(0), ProcessConfig(girth=6)).placed
     assert girth(placed, g_max=7) is None
-    assert _girth_search(placed, 7, 4) is None
+    assert _girth_search(placed, 7) is None
 
 
 @pytest.mark.parametrize("triples", [
     [(0, 3, 0), (0, 3, 1), (1, 1, 1)],   # column 3 would alias symbol 0
     [(0, 0, 0), (0, 1, -1)],
+    # validate reports the clash in cell (0, 0) first
+    [(0, 0, 0), (0, 0, 1), (2, 2, 7)],
 ])
 def test_girth_rejects_out_of_range_coordinates(triples):
     with pytest.raises(InputError, match="out of range"):

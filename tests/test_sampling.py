@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from latinlab.core import group_table, validate
+from latinlab.core import LatinSquare, group_table, validate
 from latinlab.counting import count_intercalates
 from latinlab.rng import RandomStream, substream
 from latinlab.sampling import (
     IncidenceCube,
     SamplerConfig,
     autocorrelation_time,
-    enumerate_squares,
     jm_run,
     sample_rectangle,
     sample_rectangles,
@@ -24,6 +23,7 @@ from latinlab.sampling import (
 )
 
 from reference import (
+    all_squares,
     exact_intercalate_law,
     intercalate_law,
     reduced_squares,
@@ -34,16 +34,12 @@ from reference import (
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576, 5: 161280}
 
 
-def test_enumeration_matches_known_counts():
+def test_all_squares_match_known_counts():
     for n, expect in KNOWN_COUNTS.items():
-        squares = enumerate_squares(n)
-        assert len(squares) == expect
-        assert len({sq.key() for sq in squares}) == expect
-
-
-def test_enumeration_refuses_large_orders():
-    with pytest.raises(ValueError):
-        enumerate_squares(6)
+        grids = all_squares(n)
+        assert len(grids) == expect
+        assert len(np.unique(grids.reshape(expect, -1), axis=0)) == expect
+        assert all(validate(LatinSquare(g)) for g in grids)
 
 
 @settings(max_examples=15, deadline=None)
@@ -182,11 +178,9 @@ def test_intercalate_mean_tracks_target_at_small_n():
 
 
 def test_exact_law_from_reduced_squares():
-    # each reduced square stands for n! (n-1)! squares
-    for n in range(2, 6):
-        weight = math.factorial(n) * math.factorial(n - 1)
-        assert intercalate_law(reduced_squares(n), weight) \
-            == exact_intercalate_law(n)
+    # the weighted law over reduced squares is the plain law over all
+    for n in range(1, 6):
+        assert intercalate_law(all_squares(n)) == exact_intercalate_law(n)
     assert len(reduced_squares(6)) == 9408
     assert sum(exact_intercalate_law(6).values()) == 812_851_200
 
