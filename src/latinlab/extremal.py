@@ -18,7 +18,11 @@ more columns, or more symbols, are used once than cells remain to be
 placed, since each further cell adds a use to one column and one symbol.
 These prunes cut only subtrees without an improving configuration, so
 the search meets the same maxima in the same order and returns the same
-witness as without them.
+witness as without them.  Before searching at all, the oracle asks
+whether I*(m-1) + 1 intercalates fit in m cells: two distinct
+intercalates share at most one cell, so k of them cover at least
+4k - k(k-1)/2 cells.  Hence I*(m) <= 1 below 7 cells and I*(m) <= 2
+below 9, and of m <= 8 only m = 4 and m = 7 run a search.
 
 The lower bound floor((4N)^(1/3))^2 comes from triangle counting in the
 tripartite graph of a configuration: an intercalate spans an octahedron,
@@ -67,13 +71,29 @@ def _new_intercalates(cells: list[tuple[int, int, int]],
 
 @lru_cache(maxsize=None)
 def max_intercalates_oracle(m: int) -> tuple[int, TripleSystem]:
-    """Exact I*(m) with a maximizing configuration, m <= 8."""
+    """Exact I*(m) with a maximizing configuration, m <= 8.
+
+    The search runs only when I*(m - 1) + 1 intercalates can fit in m
+    cells.  Two distinct intercalates share at most one cell: in
+    {(r, c, s), (r, c', t), (r', c, t), (r', c', s)} any two cells agree
+    in one coordinate and each other cell takes one of its remaining two
+    coordinates from each of them, so the two fix the other two, a
+    partial Latin square holding at most one cell with any two given
+    coordinates.  By Bonferroni, k intercalates then cover at least
+    4k - k(k-1)/2 cells.  When that exceeds m, no m-cell configuration
+    carries k of them, nor more, since any k of a larger family would
+    be one.  The search would then find nothing above I*(m - 1) and
+    return its witness, which the cap returns at once.
+    """
     if not 0 <= m <= ORACLE_CELL_CAP:
         raise InputError(f"oracle supports 0 <= m <= {ORACLE_CELL_CAP}")
     if m < 4:
         # an intercalate needs 4 cells; any clash-free placement works
         return 0, TripleSystem(max(m, 1), ((i, i, i) for i in range(m)))
     prev_best, prev_witness = max_intercalates_oracle(m - 1)
+    k = prev_best + 1
+    if 4 * k - k * (k - 1) // 2 > m:
+        return prev_best, prev_witness
     cap = m // 2
     # potential[i] = most intercalates cells i+1..m-1 can still add
     tail = [0] * (m + 1)

@@ -94,18 +94,29 @@ class TriangleSet:
         if (cube & ~(host.adj12[:, :, None] & host.adj23[None, :, :]
                      & host.adj31.T[:, None, :])).any():
             raise ValueError("triangle edge missing from host")
-        self.tris = np.argwhere(cube).astype(np.int64, copy=False)
-        id3 = np.full((n, n, n), -1, dtype=np.int64)
-        id3[cube] = np.arange(len(self.tris))
-        self.id3 = id3
-        bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+        flat = np.flatnonzero(cube)
+        # (3, m) transposed, the layout np.argwhere gives; numpy divides
+        # by a scalar far faster than it takes divmod or remainders
+        tris = np.empty((3, len(flat)), dtype=np.int64)
+        np.floor_divide(flat, n * n, out=tris[0])
+        row_col = flat // n
+        tris[1] = row_col - tris[0] * n
+        tris[2] = flat - row_col * n
+        self.tris = tris.T
+        id3 = np.full(n**3, -1, dtype=np.int64)
+        id3[flat] = np.arange(len(flat))
+        self.id3 = id3.reshape(n, n, n)
         self.apex_masks = []
         self.edge_counts = []
         for cols in KIND_COLS:
-            # axes (ci, cj, cw): reduce over the apex
-            by_edge = cube.transpose(cols)
-            self.apex_masks.append(
-                np.bitwise_or.reduce(by_edge * bits, axis=2))
+            # axes (ci, cj, cw): reduce over the apex, which packbits
+            # does fastest along a contiguous axis
+            by_edge = np.ascontiguousarray(cube.transpose(cols))
+            # bit w in byte w // 8, zero-padded to one little-endian word
+            packed = np.zeros((n, n, 8), dtype=np.uint8)
+            packed[:, :, :(n + 7) // 8] = np.packbits(
+                by_edge, axis=2, bitorder="little")
+            self.apex_masks.append(packed.view("<u8")[:, :, 0])
             self.edge_counts.append(by_edge.sum(axis=2, dtype=np.int64))
         # kind k's edges start in part k
         self.vertex_counts = np.stack([ec.sum(axis=1)
@@ -148,11 +159,12 @@ def conforming_instance(n: int, layers: int = 3) -> TriangleSet:
     if not 0 <= layers < n:
         raise ValueError("need 0 <= layers < n")
     host = complete_host(n)
-    cube = np.ones((n, n, n), dtype=bool)
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    for d in range(layers):
-        cube[i, j, (i + j + d) % n] = False
-    return TriangleSet(host, np.argwhere(cube))
+    # edge (i, j) keeps the apexes (i + j + d) mod n with d >= layers
+    v = np.arange(n, dtype=np.min_scalar_type(3 * n))
+    i, j, d = np.broadcast_arrays(v[:, None, None], v[None, :, None],
+                                  v[None, None, layers:])
+    rows = np.stack((i, j, (i + j + d) % n), axis=-1)
+    return TriangleSet(host, rows.reshape(-1, 3))
 
 
 # ---------------------------------------------------------------------------

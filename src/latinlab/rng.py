@@ -11,12 +11,18 @@ because per-call ``Generator`` overhead dominates tight Markov-chain
 loops.  ``randrange`` takes one word per call; the Jacobson-Matthews
 kernel in ``sampling`` reads the block in place (``block``, then
 ``seek`` to where it stopped), one word per move, so both see the same
-word sequence and no word is used twice.
+word sequence and no word is used twice.  Blocks start at FIRST_BLOCK
+words and double up to BLOCK, so a stream that reads a few dozen words
+does not pay for sixteen thousand.  Each word is one 64-bit Philox
+output masked to 62 bits, whatever the block size, so the words are
+those of a single ``integers(0, 2**62, size=N, dtype=np.int64)`` draw.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .core import InputError
 
 
 class RandomStream:
@@ -26,12 +32,16 @@ class RandomStream:
     helpers below share the same underlying counter stream.
     """
 
+    FIRST_BLOCK = 1 << 6
     BLOCK = 1 << 14
 
     def __init__(self, seed, stream: int = 0):
         if isinstance(seed, np.random.SeedSequence):
             ss = seed
         else:
+            if int(seed) < 0:
+                raise InputError(
+                    f"seed must be a non-negative integer, got {seed}")
             ss = np.random.SeedSequence((int(seed), int(stream)))
         self.seed_sequence = ss
         self.generator = np.random.Generator(np.random.Philox(ss))
@@ -39,8 +49,9 @@ class RandomStream:
         self._pos = 0
 
     def _refill(self) -> None:
+        size = min(max(2 * len(self._buf), self.FIRST_BLOCK), self.BLOCK)
         self._buf = self.generator.integers(
-            0, 1 << 62, size=self.BLOCK, dtype=np.int64
+            0, 1 << 62, size=size, dtype=np.int64
         ).tolist()
         self._pos = 0
 

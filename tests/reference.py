@@ -86,6 +86,26 @@ def brute_intercalates(obj) -> int:
     return count
 
 
+def brute_intercalate_cells(obj) -> list[frozenset]:
+    """The four cells of every intercalate of a partial Latin square,
+    found from each pair of cells in a row and the column and symbol
+    lookups that complete it."""
+    n, cells = _filled_cells(obj)
+    grid = {(r, c): s for r, c, s in cells}
+    row_of = {(c, s): r for r, c, s in cells}
+    rows = {}
+    for r, c, s in cells:
+        rows.setdefault(r, []).append((c, s))
+    found = []
+    for r, row in rows.items():
+        for (c1, a), (c2, b) in itertools.combinations(row, 2):
+            r2 = row_of.get((c1, b))
+            # the upper row finds each intercalate once
+            if r2 is not None and r2 > r and grid.get((r2, c2)) == a:
+                found.append(frozenset({(r, c1), (r, c2), (r2, c1), (r2, c2)}))
+    return found
+
+
 def _proper_quadruple_arrays(obj):
     """Arrays (r1, r2, c1, c2, a, b, c, d) over every ordered quadruple
     with r1 != r2, c1 != c2 and all four cells filled."""

@@ -433,6 +433,11 @@ def test_bad_parameters_are_input_errors(capsys, tmp_path):
                  ["boost", "--graph", str(graph), "--triangles", str(graph)],
                  ["process", "run", "--n", "5", "--g", "4"],
                  ["process", "run", "--n", "5", "--m", "-3"],
+                 ["sample", "square", "--n", "5", "--seed", "-1"],
+                 ["sample", "rectangle", "--n", "5", "--k", "2",
+                  "--seed", "-1"],
+                 ["process", "run", "--n", "5", "--seed", "-1"],
+                 ["absorb", "path-cover", "--seed", "-1"],
                  ["phi", "--N", "0"],
                  ["phi", "--N", "1" * 400],
                  ["phi", "--N", "10000001"],

@@ -1,11 +1,13 @@
 """The cell-count oracle and the growth-rate bounds."""
 
+import functools
 import itertools
+import operator
 from collections import Counter
 
 import pytest
 
-from latinlab.core import TripleSystem, validate
+from latinlab.core import TripleSystem, group_table, validate
 from latinlab.counting import count_intercalates
 from latinlab.extremal import (
     ORACLE_CELL_CAP,
@@ -16,8 +18,12 @@ from latinlab.extremal import (
     phi_report,
     phi_upper_bound,
 )
+from latinlab.process import collision_filter, sample_sparse_system
+from latinlab.rng import RandomStream
+from latinlab.sampling import sample_squares
 
 from reference import (
+    brute_intercalate_cells,
     brute_intercalates,
     brute_max_intercalates,
     graph_triangles,
@@ -59,6 +65,38 @@ def test_oracle_is_monotone_and_superadditive():
     for a in range(ORACLE_CELL_CAP + 1):
         for b in range(ORACLE_CELL_CAP + 1 - a):
             assert vals[a + b] >= vals[a] + vals[b]
+
+
+def _lemma_systems():
+    sampled = [sq for n in (8, 12)
+               for sq in sample_squares(n, 2, RandomStream(n))]
+    tables = [group_table("cyclic", 8), group_table("elementary-abelian-2", 3),
+              group_table("cyclic", 12)]
+    filtered = [
+        collision_filter(sample_sparse_system(150, 1 / 3, RandomStream(s)))
+        for s in range(3)]
+    return sampled + tables + filtered
+
+
+def test_intercalates_share_at_most_one_cell():
+    # the lemma behind the oracle's cap: two distinct intercalates share
+    # at most one cell, so k of them cover at least 4k - C(k, 2) cells
+    for system in _lemma_systems():
+        found = brute_intercalate_cells(system)
+        assert len(found) == count_intercalates(system)
+        n = system.n
+        masks = [sum(1 << (r * n + c) for r, c in cells) for cells in found]
+        for a, b in itertools.combinations(masks, 2):
+            assert (a & b).bit_count() <= 1
+        # every family of up to four among the first 40 (rows in order,
+        # so those through row 0 first, overlapping most)
+        for k in (3, 4):
+            for family in itertools.combinations(masks[:40], k):
+                union = functools.reduce(operator.or_, family)
+                assert union.bit_count() >= 4 * k - k * (k - 1) // 2
+    # and one shared cell does occur
+    xor = brute_intercalate_cells(group_table("elementary-abelian-2", 3))
+    assert any(len(a & b) == 1 for a, b in itertools.combinations(xor, 2))
 
 
 def test_oracle_rejects_out_of_range():

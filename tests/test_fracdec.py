@@ -124,8 +124,9 @@ def _assert_matches_brute(host, rows, gen):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
 def test_indexes_and_weight_sums_match_brute(n, seed):
+    # n > 8 packs the apex axis into two bytes
     gen = RandomStream(seed).generator
     host = _random_host(n, gen.uniform(0.3, 1.0, 3), gen)
     every = all_triangles(host).tris
@@ -155,6 +156,16 @@ def test_triangle_set_indexes_are_consistent():
     # edge counts column sums equal triangle count times 1 per kind
     for k in range(3):
         assert tset.edge_counts[k].sum() == len(tris)
+
+
+def test_conforming_instance_drops_the_shift_layers():
+    for n, layers in ((1, 0), (2, 1), (9, 3), (20, 0), (20, 7)):
+        tset = conforming_instance(n, layers)
+        kept = [(i, j, w) for i, j, w in itertools.product(range(n), repeat=3)
+                if (w - i - j) % n >= layers]
+        assert tset.tris.tolist() == [list(t) for t in kept]
+        for k in range(3):
+            assert (tset.edge_counts[k] == n - layers).all()
 
 
 def test_conforming_instance_passes_conditions():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from latinlab.core import LatinSquare, group_table, validate
+from latinlab.core import InputError, LatinSquare, group_table, validate
 from latinlab.counting import count_intercalates
 from latinlab.rng import RandomStream, substream
 from latinlab.sampling import (
@@ -70,6 +70,31 @@ def test_child_streams_ignore_the_parents_draws():
     assert [used.child(i).randrange(10**9) for i in range(2)] == first
     assert first[0] != first[1]
     assert first[0] != RandomStream(5).randrange(10**9)
+
+
+def test_stream_words_are_one_philox_draw():
+    # blocks grow from FIRST_BLOCK to BLOCK; across every refill the
+    # words are those of one integers() draw, read one by one or in place
+    seed, total = 19, 3 * RandomStream.BLOCK
+    want = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        (seed, 0)))).integers(0, 2**62, size=total, dtype=np.int64).tolist()
+    rng = RandomStream(seed)
+    assert [rng.randrange(2**62) for _ in range(total)] == want
+    rng = RandomStream(seed)
+    got = []
+    while len(got) < total:
+        words, i = rng.block()
+        stop = min(len(words), i + 37, i + total - len(got))
+        got += words[i:stop]
+        rng.seek(stop)
+        if len(got) < total:
+            got.append(rng.randrange(2**62))
+    assert got == want
+
+
+def test_negative_seeds_are_input_errors():
+    with pytest.raises(InputError, match="-3"):
+        RandomStream(-3)
 
 
 def test_chain_thinning_produces_distinct_squares():
