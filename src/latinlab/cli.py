@@ -76,7 +76,7 @@ from .experiments import (
     report,
     run_experiment,
 )
-from .extremal import ORACLE_CELL_CAP, phi_report
+from .extremal import phi_report
 from .fracdec import RegParams, TriangleSet, boost
 from .process import ProcessConfig, run_process
 from .rng import RandomStream
@@ -267,7 +267,7 @@ def _cmd_process(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    rec = phi_report(args.N, args.exact_max_cells)
+    rec = phi_report(args.N)
     witness_path = args.witness_out
     if witness_path is None:
         base = os.path.dirname(args.out) if args.out else ""
@@ -502,9 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_phi = sub.add_parser("phi", help="extremal cell-count bounds")
     p_phi.add_argument("--N", type=int, required=True,
                        help="intercalate target")
-    p_phi.add_argument("--exact-max-cells", type=int,
-                       default=ORACLE_CELL_CAP,
-                       help=f"oracle effort cap (0..{ORACLE_CELL_CAP})")
     p_phi.add_argument("--witness-out", help="witness file path")
     p_phi.add_argument("--out", help="JSON report path (default stdout)")
     p_phi.set_defaults(fn=_cmd_phi)

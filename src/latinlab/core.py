@@ -286,40 +286,18 @@ def _adjacency(rows: int, cols: int, edges) -> np.ndarray:
 
 
 def validate(obj) -> ValidityReport:
-    """Check the defining invariants, reporting the first violation found."""
-    if isinstance(obj, LatinSquare):
-        return _validate_rect(obj.grid, obj.n, obj.n)
-    if isinstance(obj, LatinRectangle):
-        return _validate_rect(obj.grid, obj.k, obj.n)
+    """Check the defining invariants, reporting the first violation found.
+
+    Squares and rectangles are checked as their triples, so the violation
+    reported first is the first in sorted (row, column, symbol) order.
+    """
+    if isinstance(obj, (LatinSquare, LatinRectangle)):
+        obj = to_triples(obj)
     if isinstance(obj, TripleSystem):
         return _validate_triples(obj)
     if isinstance(obj, TripartiteGraph):
         return ValidityReport(True)
     raise TypeError(f"cannot validate {type(obj).__name__}")
-
-
-def _validate_rect(grid: np.ndarray, k: int, n: int) -> ValidityReport:
-    # symbols are in range by construction, see _as_grid
-    for i in range(k):
-        row = grid[i]
-        if len(np.unique(row)) != n:
-            s = _first_duplicate(row)
-            return ValidityReport(False, f"row {i} repeats symbol {s}", (i, s))
-    for j in range(n):
-        col = grid[:, j]
-        if len(np.unique(col)) != k:
-            s = _first_duplicate(col)
-            return ValidityReport(False, f"column {j} repeats symbol {s}", (j, s))
-    return ValidityReport(True)
-
-
-def _first_duplicate(vec) -> int:
-    seen = set()
-    for x in vec.tolist():
-        if x in seen:
-            return int(x)
-        seen.add(x)
-    return -1
 
 
 def _validate_triples(ts: TripleSystem) -> ValidityReport:

@@ -490,6 +490,9 @@ def count_subsquares(square: LatinSquare, k: int) -> int:
     occur), which reduces the column search to 2-cycles, 3-cycles, or
     4-cycles / pairs of 2-cycles.
     """
+    if not isinstance(square, LatinSquare):
+        raise TypeError(f"subsquares need a LatinSquare, not "
+                        f"{type(square).__name__}")
     n = square.n
     if not 2 <= k <= 4:
         raise InputError("supported subsquare orders are 2, 3, 4")

@@ -36,7 +36,7 @@ from .counting import (
     count_intercalates,
     count_intercalates_each,
 )
-from .extremal import max_intercalates_oracle, phi_report
+from .extremal import ORACLE_CELL_CAP, max_intercalates_oracle, phi_report
 from .fracdec import RegParams, boost, conforming_instance
 from .process import (
     ProcessConfig,
@@ -317,7 +317,8 @@ def _exp_phi_table(spec: ExperimentSpec):
                      "" if rec.exact is None else rec.exact,
                      rec.ratio_lower, rec.ratio_upper))
         worst_upper = max(worst_upper, rec.ratio_upper)
-    oracle = [max_intercalates_oracle(m)[0] for m in range(9)]
+    oracle = [max_intercalates_oracle(m)[0]
+              for m in range(ORACLE_CELL_CAP + 1)]
     lower_le_upper = all(r[1] <= r[2] for r in rows)
     checks = [
         Check("oracle-m3", float(oracle[3]), 0.0, 0.0),
@@ -326,7 +327,7 @@ def _exp_phi_table(spec: ExperimentSpec):
         Check("lower-le-upper", float(lower_le_upper), 1.0, 1.0),
         Check("worst-upper-ratio", worst_upper, None, 4.5),
     ]
-    extra = {"max_intercalates": {str(m): oracle[m] for m in range(9)}}
+    extra = {"max_intercalates": {str(m): v for m, v in enumerate(oracle)}}
     header = ["N", "lower", "upper", "exact", "ratio_lower", "ratio_upper"]
     return header, rows, checks, extra
 

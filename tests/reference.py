@@ -581,16 +581,20 @@ def graph_triangles(ts: TripleSystem) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the extremal oracle without its label-use prunes
+# the extremal profile by search
 
 
 def brute_max_intercalates(m: int) -> tuple[int, TripleSystem]:
-    """I*(m) with its witness by the search of ``max_intercalates_oracle``
-    with only the label cap and the per-cell intercalate bound, uncached.
+    """I*(m) with its witness by a search of all m-cell configurations,
+    the check on the proved table of ``max_intercalates_oracle``.
 
-    Same DFS order as the package oracle, so it must return the same
-    value and the same witness; a prune that cuts an improving
-    configuration changes one or the other.
+    In a configuration where every cell lies in an intercalate, each used
+    row, column and symbol occurs at least twice, so floor(m/2) labels per
+    class suffice; configurations with idle cells are covered by
+    I*(m) >= I*(m-1).  Cells are placed in lexicographic order with
+    gap-free labels, and the i-th cell closes at most floor((i-1)/3) new
+    intercalates.  The first maximum found is the witness, so the table's
+    witnesses are those of this search.
     """
     if m < 4:
         return 0, TripleSystem(max(m, 1), ((i, i, i) for i in range(m)))

@@ -441,8 +441,6 @@ def test_bad_parameters_are_input_errors(capsys, tmp_path):
                  ["phi", "--N", "0"],
                  ["phi", "--N", "1" * 400],
                  ["phi", "--N", "10000001"],
-                 ["phi", "--N", "2", "--exact-max-cells", "-1"],
-                 ["phi", "--N", "2", "--exact-max-cells", "9"],
                  ["experiment", "gstar-cuboctahedra", "--alpha", "500",
                   "--samples", "1", "--out", str(tmp_path)],
                  ["experiment", "phi-table", "--n", "3", "--threads", "0",

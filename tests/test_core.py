@@ -284,6 +284,20 @@ def test_validate_reports_the_first_violation_like_the_loop(ts):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 99), st.data())
+def test_validate_grids_like_the_loop_on_their_triples(n, seed, data):
+    # a square or a rectangle of it with one or two cells overwritten
+    grid = sample_squares(n, 1, RandomStream(seed))[0].grid.copy()
+    k = data.draw(st.integers(1, n))
+    for _ in range(data.draw(st.integers(1, 2))):
+        r = data.draw(st.integers(0, k - 1))
+        c = data.draw(st.integers(0, n - 1))
+        grid[r, c] = data.draw(st.integers(0, n - 1))
+    obj = LatinSquare(grid) if k == n else LatinRectangle(grid[:k])
+    assert validate(obj) == brute_validate(to_triples(obj))
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5), st.data())
 def test_from_array_equals_the_tuple_constructor(n, data):
     coord = st.integers(-2, n + 1)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from latinlab import counting
 from latinlab.core import (
     InputError,
+    LatinRectangle,
     LatinSquare,
     TripleSystem,
     group_table,
@@ -387,6 +388,19 @@ def test_subsquare_order_out_of_range():
     sq = group_table("cyclic", 5)
     with pytest.raises(ValueError):
         count_subsquares(sq, 5)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_subsquares_reject_rectangles(k):
+    rect = LatinRectangle(group_table("cyclic", 6).grid[:3])
+    with pytest.raises(TypeError, match="LatinRectangle"):
+        count_subsquares(rect, k)
+
+
+def test_subsquares_reject_triple_systems():
+    ts = to_triples(group_table("cyclic", 4))
+    with pytest.raises(TypeError, match="TripleSystem"):
+        count_subsquares(ts, 3)
 
 
 def test_xor_table_subsquares():

@@ -37,6 +37,26 @@ def test_oracle_small_values():
     assert max_intercalates_oracle(4)[0] == 1
 
 
+def test_oracle_is_the_sharing_bound():
+    # k intercalates cover at least 4k - C(k, 2) cells, so m cells hold
+    # fewer than the least k that does not fit, and the table attains it
+    for m in range(ORACLE_CELL_CAP + 1):
+        k = 1
+        while 4 * k - k * (k - 1) // 2 <= m:
+            k += 1
+        assert max_intercalates_oracle(m)[0] == k - 1, m
+
+
+def test_oracle_cache_clears_to_the_same_table():
+    before = [max_intercalates_oracle(m) for m in range(ORACLE_CELL_CAP + 1)]
+    max_intercalates_oracle.cache_clear()
+    after = [max_intercalates_oracle(m) for m in range(ORACLE_CELL_CAP + 1)]
+    for (best, witness), (best2, witness2) in zip(before, after):
+        assert best == best2
+        assert witness.triples == witness2.triples
+        assert witness.n == witness2.n
+
+
 def test_oracle_witnesses_are_valid_and_tight():
     for m in range(ORACLE_CELL_CAP + 1):
         best, witness = max_intercalates_oracle(m)
@@ -47,8 +67,7 @@ def test_oracle_witnesses_are_valid_and_tight():
 
 
 def test_oracle_matches_unpruned_search():
-    # the label-use prunes cut only subtrees without an improving
-    # configuration, so value and witness match the plain search
+    # the proved table gives the value and the witness of the search
     for m in range(ORACLE_CELL_CAP + 1):
         best, witness = max_intercalates_oracle(m)
         ref_best, ref_witness = brute_max_intercalates(m)
@@ -106,16 +125,6 @@ def test_oracle_rejects_out_of_range():
 
 def test_phi_of_one_is_four():
     assert phi_exact(1) == 4
-
-
-def test_phi_exact_respects_cell_budget():
-    assert phi_exact(1, max_cells=3) is None
-    assert phi_exact(1, max_cells=4) == 4
-    for bad in (-1, ORACLE_CELL_CAP + 1):
-        with pytest.raises(ValueError):
-            phi_exact(1, max_cells=bad)
-        with pytest.raises(ValueError):
-            phi_report(1, max_cells=bad)
 
 
 def test_bounds_reject_targets_past_the_desk_cap():
