@@ -10,12 +10,20 @@ concentrate near p^2 q n / 4.
 
 The weight gadgets are the classical ones.  chi_{u,v} averages the two
 triangle stars of a K_{2,1,1} through two same-part vertices and moves
-one unit of vertex weight from v to u.  psi_e averages, over 6-cycles J
-through an edge e (alternating between e's two parts), the function
-psi_{J,e} that places alternating signs on the triangles hanging off J;
-every psi_{J,e} has identically zero vertex weights, so the adjustment
-map A(phi) = phi - sum_e phi^disc(e) psi_e preserves vertex balance
-exactly while cancelling edge discrepancies to first order.
+one unit of vertex weight from v to u.  The seed phi0 = 1 + sum_j
+chi_{V^j} moves the imbalance f_u = |T_u| - (3 deg(u) / 2|E|) |T|
+off each part V^j; on a part where f is constant (every part of a
+vertex-regular host, such as the conforming instance) chi_{V^j} = 0,
+so it costs nothing there and phi0 is exactly 1.  A host with no
+K_{2,1,1} through a same-part pair whose f differs cannot be balanced
+this way: that is an InputError, and ``latinlab boost`` exits 2 on it.
+
+psi_e averages, over 6-cycles J through an edge e (alternating between
+e's two parts), the function psi_{J,e} that places alternating signs
+on the triangles hanging off J; every psi_{J,e} has identically zero
+vertex weights, so the adjustment map A(phi) = phi - sum_e phi^disc(e)
+psi_e preserves vertex balance exactly while cancelling edge
+discrepancies to first order.
 
 The 6-cycles through e = (a1, b1) are the ordered tails (a2, b2, a3,
 b3) with a2, a3 distinct and avoiding a1 and b2, b3 distinct and
@@ -173,9 +181,12 @@ def conforming_instance(n: int, layers: int = 3) -> TriangleSet:
 
 class WeightFunction:
     """Triangle weights with cached vertex weights, edge weights, and
-    total.  The caches are derived once from ``values``; ``verify``
-    recomputes them from scratch.  The total uses compensated summation,
-    discrepancies are differences of dense per-edge sums."""
+    total.  The caches are derived once from ``values``, which is kept
+    as a contiguous float64 array; ``verify`` recomputes them from
+    scratch.  The total is ``math.fsum`` over that float64 buffer, the
+    correctly rounded sum (it raises as ``math.fsum`` does on inf - inf
+    and on overflow); discrepancies are differences of dense per-edge
+    sums."""
 
     __slots__ = ("tset", "values", "vertex", "edge", "total")
 
@@ -185,7 +196,8 @@ class WeightFunction:
         if values.shape != (len(tset),):
             raise ValueError("one weight per triangle required")
         self.values = values
-        self.total = math.fsum(values)
+        # fsum reads Python floats off the buffer, not numpy scalars
+        self.total = math.fsum(memoryview(values))
         tris = tset.tris
         n = tset.n
         # bincount adds in triangle order, as a scatter-add would
@@ -248,7 +260,8 @@ def _check_indices(tset: TriangleSet, name: str, k, *vertices) -> None:
 def chi_uv(tset: TriangleSet, part: int, u: int, v: int) -> WeightFunction:
     """chi_{u,v}: average of the two triangle stars of each K_{2,1,1}
     through same-part vertices u, v.  Vertex weights are +1 at u, -1 at
-    v, zero elsewhere."""
+    v, zero elsewhere.  Raises InputError when no K_{2,1,1} passes
+    through u and v."""
     _check_indices(tset, "part", part, u, v)
     if u == v:
         raise ValueError("need two distinct vertices")
@@ -257,7 +270,7 @@ def chi_uv(tset: TriangleSet, part: int, u: int, v: int) -> WeightFunction:
     both = (pu >= 0) & (pv >= 0)
     m = int(both.sum())
     if m == 0:
-        raise ValueError("no K_{2,1,1} copies through the pair")
+        raise InputError("no K_{2,1,1} copies through the pair")
     out = np.zeros(len(tset))
     out[pu[both]] += 1.0 / m
     out[pv[both]] -= 1.0 / m
@@ -281,16 +294,23 @@ def chi_part(tset: TriangleSet, part: int) -> np.ndarray:
     m[u, v] on (v, x) for every x with both present.  The two orders
     of a pair add up, so the triangle (u, x) gets (A P)[u, x] with
     A[u, v] = -(f_u - f_v) / (n m[u, v]) (zero on the diagonal).
-    Raises ValueError when a pair with f_u != f_v has no K_{2,1,1}."""
+
+    A balanced part, f constant on it (as on every vertex-regular
+    host), has chi_{V^j} = 0: every coefficient is zero, so no
+    presence matrix is built and no K_{2,1,1} is needed.  Otherwise a
+    pair with f_u != f_v and no K_{2,1,1} is a fault of the host, and
+    raises InputError (``latinlab boost`` exits 2 on it)."""
     n = tset.n
     f = part_imbalance(tset, part)
+    if (f == f[:1]).all():
+        return np.zeros(len(tset))
     ids = np.moveaxis(tset.id3, part, 0).reshape(n, n * n)
     present = ids >= 0
     pres = present.astype(np.float64)
     m = pres @ pres.T
     gap = f[:, None] - f[None, :]
     if ((m == 0) & (gap != 0)).any():
-        raise ValueError("no K_{2,1,1} copies through the pair")
+        raise InputError("no K_{2,1,1} copies through the pair")
     a = np.divide(-gap, n * m, out=np.zeros((n, n)), where=m != 0)
     out = np.zeros(len(tset))
     out[ids[present]] = (a @ pres)[present]
@@ -577,7 +597,6 @@ def check_conditions(tset: TriangleSet, params: RegParams,
     for kind in range(3):
         am = tset.apex_masks[kind]
         eis, ejs = np.nonzero(tset.adj(kind))
-        edge_pool = list(zip(eis.tolist(), ejs.tolist()))
         pools = [np.arange(len(eis))[:, None]]
         pools += [_sample_sets(gen, len(eis), size, SAMPLE_BUDGET)
                   for size in range(2, min(6, len(eis)) + 1)]
@@ -587,7 +606,8 @@ def check_conditions(tset: TriangleSet, params: RegParams,
             nv = sum(1 + (np.diff(np.sort(ends[sets], axis=1), axis=1)
                           != 0).sum(axis=1) for ends in (eis, ejs))
             rep._check(3, KIND_NAMES[kind], got, low3[nv], high3[nv],
-                       lambda t: tuple(edge_pool[e] for e in sets[t]))
+                       lambda t: tuple((int(eis[e]), int(ejs[e]))
+                                       for e in sets[t]))
 
     pairs = tset.edges_per_pair
     rep._check(4, "all", [max(pairs)], min(pairs), min(pairs),

@@ -15,7 +15,7 @@ from latinlab.core import (
 )
 from latinlab.counting import count_intercalates, cuboctahedron_report
 from latinlab.experiments import _DEFAULTS
-from latinlab.fracdec import conforming_instance
+from latinlab.fracdec import complete_host, conforming_instance
 
 
 def run(capsys, *argv):
@@ -423,6 +423,24 @@ def test_boost_graph_with_array_vertex_is_input_error(capsys, tmp_path):
                        "--triangles", str(graph))
     assert code == 2
     assert "pairs of integer vertices" in err
+
+
+def test_boost_force_without_k211_is_input_error(capsys, tmp_path):
+    # part-0 vertices 0 and 1 share no (y, z) pair, and their triangle
+    # counts (2 and 1 of 3) differ, so chi_{V^1} cannot move weight
+    graph = tmp_path / "host.json"
+    cand = tmp_path / "cand.txt"
+    graph.write_text(serialize_tripartite(complete_host(3)))
+    cand.write_text("3\n0 0 0\n0 1 1\n1 2 2\n")
+    argv = ["boost", "--graph", str(graph), "--triangles", str(cand),
+            "--out", str(tmp_path)]
+    code, _, err = run(capsys, *argv, "--force")
+    assert code == 2
+    assert err == "error: no K_{2,1,1} copies through the pair\n"
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: conditions fail")
+    assert not list(tmp_path.glob("boost_*"))
 
 
 def test_bad_parameters_are_input_errors(capsys, tmp_path):

@@ -1,7 +1,9 @@
 """Weight functions, the chi/psi gadgets, and the boosting loop."""
 
 import itertools
+import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -27,6 +29,7 @@ from latinlab.fracdec import (
     chi_uv,
     complete_host,
     conforming_instance,
+    part_imbalance,
     phi0,
     psi_cycle,
     psi_e,
@@ -148,6 +151,50 @@ def test_indexes_and_weight_sums_match_brute_at_mask_cap():
     assert (tset.apex_masks[0] >> np.uint64(MASK_CAP - 1) == 1).all()
 
 
+def _fsum_outcome(f):
+    try:
+        return struct.pack("<d", f())
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+# runs of one or two floats; a pair is a cancellation kept side by side
+_float_runs = st.one_of(
+    st.tuples(st.floats(allow_nan=True, allow_infinity=True)),
+    st.tuples(st.sampled_from([1e300, -1e300, 1.7e308, -1.7e308, 5e-324,
+                               -5e-324, 2.2e-308, 0.0, -0.0, 1.0, 1e-16,
+                               math.inf, -math.inf, math.nan])),
+    st.floats(1e290, 1e300).map(lambda x: (x, -x)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_float_runs, max_size=27).map(
+    lambda runs: list(itertools.chain(*runs))[:27]),
+       st.sampled_from(["list", "int64", "strided", "big-endian"]))
+def test_total_is_fsum_of_the_float_values(items, form):
+    if form == "int64":
+        # clipped into int64; 2**62 + 1 has no exact float
+        v = np.array([int(math.copysign(min(abs(x), 2.0**62), x))
+                      if math.isfinite(x) else 2**62 + 1 for x in items],
+                     dtype=np.int64)
+    elif form == "strided":
+        # every other entry of a longer array: not contiguous
+        wide = np.full(2 * len(items), 7.5)
+        wide[::2] = items
+        v = wide[::2]
+        assert len(v) < 2 or not v.flags.c_contiguous
+    elif form == "big-endian":
+        v = np.array(items, dtype=">f8")
+    else:
+        v = items
+    # the first len(v) of the 27 triangles of K_{3,3,3}
+    tset = conforming_instance(3, 0).subset(np.arange(len(v)))
+    ref = _fsum_outcome(
+        lambda: math.fsum(np.asarray(v, dtype=float).tolist()))
+    assert _fsum_outcome(lambda: WeightFunction(tset, v).total) == ref
+
+
 def test_triangle_set_indexes_are_consistent():
     tset = small_conforming()
     tris = tset.tris
@@ -264,9 +311,51 @@ def test_chi_part_matches_the_pairwise_sum(n):
 
 
 def test_phi0_of_conforming_instances_is_all_ones():
-    for n in (6, 12, 30):
-        values = phi0(conforming_instance(n)).values
+    cases = [(n, layers) for n in range(4, 13) for layers in range(n)]
+    for n, layers in cases + [(30, 3)]:
+        tset = conforming_instance(n, layers)
+        # vertex-regular: every vertex of every part in n - layers
+        # triangles, with degree 2n, so chi is zero on every part
+        assert (tset.vertex_counts == n * (n - layers)).all()
+        assert (tset.deg == 2 * n).all()
+        if n <= 12:
+            for part in range(3):
+                got = chi_part(tset, part)
+                assert (got == brute_chi_part(tset, part)).all()
+        values = phi0(tset).values
         assert values.tobytes() == np.ones(len(values)).tobytes()
+
+
+def _complete_minus(n, removed):
+    cube = np.ones((n, n, n), dtype=bool)
+    cube[tuple(np.array(removed).T)] = False
+    return TriangleSet(complete_host(n), np.argwhere(cube))
+
+
+@pytest.mark.parametrize("name", ["first-vertex-average", "one-part-off"])
+def test_chi_part_matches_brute_on_partly_balanced_hosts(name):
+    n = 6
+    if name == "first-vertex-average":
+        # part-0 triangle counts 34, 32, 36, 34, 34, 34: vertex 0 sits
+        # at the mean (f_0 = 0) while the part is not balanced
+        losses = {0: 2, 1: 4, 3: 2, 4: 2, 5: 2}
+        tset = _complete_minus(n, [(u, t, (t + u) % n)
+                                   for u, k in losses.items()
+                                   for t in range(k)])
+        f = part_imbalance(tset, 0)
+        assert f[0] == 0.0 and f.any()
+    else:
+        # removing (i, 0, i) leaves parts 0 and 2 balanced and part 1 not
+        tset = _complete_minus(n, [(i, 0, i) for i in range(n)])
+        balanced = [(f == f[0]).all()
+                    for f in (part_imbalance(tset, p) for p in range(3))]
+        assert balanced == [True, False, True]
+    refs = [brute_chi_part(tset, part) for part in range(3)]
+    for part in range(3):
+        got = chi_part(tset, part)
+        assert np.abs(got - refs[part]).max() <= 1e-12
+    assert np.abs(phi0(tset).values - (1.0 + sum(refs))).max() <= 1e-12
+    assert max(np.abs(r).max() for r in refs) > 1e-3  # not all zero
 
 
 def test_chi_uv_vertex_weights_are_unit():
