@@ -1,12 +1,16 @@
 """Absorber constructions: path covers, cycle shortening, spheres,
 and rooted gadgets.
 
-Everything here manipulates small colored tripartite graphs.  Vertices
-are (part, index) pairs, edges are keyed (kind, i, j) with kind p
-joining part p to part p+1, matching the adjacency matrices of the core
-graph type.  A tripartite cycle has length divisible by 3 and visits
-the parts cyclically, so any two vertices at distance 6 along it lie in
-the same part.
+Everything here manipulates small colored tripartite graphs, held as
+sets of edge keys.  Vertices are (part, index) pairs, edges are keyed
+(kind, i, j) with kind p joining part p to part p+1, matching the
+adjacency matrices of the core graph type.  Functions that take a graph
+take any iterable of edge keys and read it as a set, so a repeated key
+counts once.  ``TripartiteGraph`` appears only where a graph is read
+from or written to a file: ``graph_edges`` and ``sphere_graphs``.  A
+tripartite cycle has length divisible by 3 and visits the parts
+cyclically, so any two vertices at distance 6 along it lie in the same
+part.
 
 The shortening rule cuts a long cycle at two same-part vertices u, v at
 distance 6 and splices in a pair of augmenting paths of opposite
@@ -20,6 +24,7 @@ balance, so leftovers always pair into tripartite 6-cycles.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,22 +66,25 @@ def graph_from_edges(parts, edges) -> TripartiteGraph:
     return TripartiteGraph(parts, *by_kind)
 
 
-def is_triangle_divisible(g: TripartiteGraph) -> bool:
+def is_triangle_divisible(edges) -> bool:
     """Every vertex has the same degree toward both other parts."""
-    return (np.array_equal(g.adj12.sum(axis=1), g.adj31.sum(axis=0))
-            and np.array_equal(g.adj23.sum(axis=1), g.adj12.sum(axis=0))
-            and np.array_equal(g.adj31.sum(axis=1), g.adj23.sum(axis=0)))
+    forward, backward = Counter(), Counter()
+    for kind, i, j in set(edges):
+        forward[kind, i] += 1
+        backward[(kind + 1) % 3, j] += 1
+    return forward == backward
 
 
-def verify_triangle_decomposition(g: TripartiteGraph, triangles) -> bool:
-    """True iff the triangles are edge-disjoint and cover E(g) exactly."""
+def verify_triangle_decomposition(edges, triangles) -> bool:
+    """True iff the triangles are edge-disjoint and cover the edges
+    exactly."""
     seen: set[EdgeKey] = set()
     for t in triangles:
         for e in triangle_edges(tuple(t)):
             if e in seen:
                 return False
             seen.add(e)
-    return seen == graph_edges(g)
+    return seen == set(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -100,20 +108,19 @@ def is_tripartite_cycle(cycle: list[Vertex]) -> bool:
     return all(p == (p0 + i) % 3 for i, (p, _) in enumerate(cycle))
 
 
-def decompose_into_tripartite_cycles(g: TripartiteGraph) -> list[list[Vertex]]:
-    """Partition the edges of a triangle-divisible graph into tripartite
-    cycles.  Walks forward (part p to p+1) along unused edges, cutting
-    out a cycle whenever the walk collides with itself; divisibility
-    makes the walk digraph Eulerian-balanced, so it never strands an
-    open path.
+def decompose_into_tripartite_cycles(edges) -> list[list[Vertex]]:
+    """Partition a triangle-divisible edge set into tripartite cycles.
+    Walks forward (part p to p+1) along unused edges, cutting out a
+    cycle whenever the walk collides with itself; divisibility makes
+    the walk digraph Eulerian-balanced, so it never strands an open
+    path.
     """
-    if not is_triangle_divisible(g):
+    edges = set(edges)
+    if not is_triangle_divisible(edges):
         raise InputError("graph is not triangle-divisible")
     out_nbrs: dict[Vertex, list[Vertex]] = {}
-    for kind, adj in enumerate((g.adj12, g.adj23, g.adj31)):
-        for i, j in zip(*np.nonzero(adj)):
-            out_nbrs.setdefault((kind, int(i)), []).append(
-                ((kind + 1) % 3, int(j)))
+    for kind, i, j in edges:
+        out_nbrs.setdefault((kind, i), []).append(((kind + 1) % 3, j))
     for lst in out_nbrs.values():
         lst.sort(reverse=True)   # pop() walks in ascending order
 
@@ -181,7 +188,7 @@ class PathCover:
         self.x_sizes = (m1, m2, m3)
         self.mu = mu
         sizes = [m1, m2, m3]
-        edges: list[EdgeKey] = []
+        self.edges: set[EdgeKey] = set()
         self.paths: dict[tuple[int, int, int], list[list[AugmentingPath]]] = {}
         for part, m in enumerate(self.x_sizes):
             for u in range(m):
@@ -195,14 +202,13 @@ class PathCover:
                             sizes[px] += 1
                             y = (py, sizes[py])
                             sizes[py] += 1
-                            edges.append(edge_key((part, u), x))
-                            edges.append(edge_key(x, y))
-                            edges.append(edge_key(y, (part, v)))
+                            self.edges.update((edge_key((part, u), x),
+                                               edge_key(x, y),
+                                               edge_key(y, (part, v))))
                             bins[ptype].append(
                                 AugmentingPath(part, u, v, ptype, x, y))
                     self.paths[part, u, v] = bins
         self.parts = tuple(sizes)
-        self.graph = graph_from_edges(self.parts, edges)
 
     def take(self, part: int, u: int, v: int, ptype: int) -> AugmentingPath:
         if u > v:
@@ -308,20 +314,20 @@ class ShortCycleCover:
     verified: bool
 
 
-def cover_with_short_cycles(l_graph: TripartiteGraph,
-                            x_sizes: tuple[int, int, int],
+def cover_with_short_cycles(l_edges, x_sizes: tuple[int, int, int],
                             mu: int | None = None) -> ShortCycleCover:
-    """Lemma machinery end to end: decompose a triangle-divisible L on
-    X into tripartite cycles, shorten them through a fresh path cover,
-    and pair the unused paths; the result partitions E(L u wedge-X)
-    into tripartite cycles of length <= 9.  When mu is not given, even
-    multiplicities are tried in increasing order and the smallest
-    workable one wins."""
+    """Lemma machinery end to end: decompose a triangle-divisible edge
+    set L on X into tripartite cycles, shorten them through a fresh path
+    cover, and pair the unused paths; the result partitions E(L u
+    wedge-X) into tripartite cycles of length <= 9.  When mu is not
+    given, even multiplicities are tried in increasing order and the
+    smallest workable one wins."""
+    l_edges = set(l_edges)
     tries = [mu] if mu is not None else list(range(2, MU_CAP + 1, 2))
     last_err: Exception | None = None
     # shorten_cycles copies the cycles it cuts, so one decomposition
     # serves every try
-    base = decompose_into_tripartite_cycles(l_graph)
+    base = decompose_into_tripartite_cycles(l_edges)
     for m in tries:
         cover = PathCover(x_sizes, m)
         try:
@@ -330,19 +336,20 @@ def cover_with_short_cycles(l_graph: TripartiteGraph,
             last_err = err
             continue
         short += cover.leftover_six_cycles()
-        target = graph_edges(cover.graph)
-        for kind, i, j in graph_edges(l_graph):
-            if (kind, i, j) in target:
-                raise InputError("L overlaps the path cover")
-            target.add((kind, i, j))
-        return ShortCycleCover(short, m, verify_cycle_partition(target, short))
+        if cover.edges & l_edges:
+            raise InputError("L overlaps the path cover")
+        return ShortCycleCover(short, m, verify_cycle_partition(
+            cover.edges | l_edges, short))
     raise RegistryExhausted(str(last_err))
 
 
 def random_divisible_graph(x_sizes: tuple[int, int, int], target_cycles: int,
-                           rng: RandomStream) -> TripartiteGraph:
-    """An edge-disjoint union of random tripartite cycles on X: random
-    forward walks over unused pairs, cut at first self-collision."""
+                           rng: RandomStream) -> set[EdgeKey]:
+    """The edge set of an edge-disjoint union of random tripartite
+    cycles on X: random forward walks over unused pairs, cut at first
+    self-collision."""
+    if target_cycles < 0:
+        raise InputError(f"need target_cycles >= 0, got {target_cycles}")
     used: set[EdgeKey] = set()
     got = 0
     for _ in range(WALK_TRIES):
@@ -370,7 +377,7 @@ def random_divisible_graph(x_sizes: tuple[int, int, int], target_cycles: int,
                 break
             pos[w] = len(stack)
             stack.append(w)
-    return graph_from_edges(x_sizes, used)
+    return used
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +466,13 @@ def sphere_decompositions(sc: SphereCover) -> tuple[list[tuple[int, int, int]],
 def sphere_certificates_ok(sc: SphereCover) -> bool:
     """Both decompositions partition what they claim, at the claimed
     sizes, and the base triple is in neither."""
-    q, qt = sphere_graphs(sc)
     out, ind = sphere_decompositions(sc)
     base = _as_index_triangle(sc.base)
     return (len(out) == 2 * sc.g - 1 and len(ind) == 2 * sc.g
             and base not in out and base not in ind
-            and verify_triangle_decomposition(q, out)
-            and verify_triangle_decomposition(qt, ind))
+            and verify_triangle_decomposition(sc.edges, out)
+            and verify_triangle_decomposition(
+                sc.edges + list(triangle_edges(base)), ind))
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +494,6 @@ class RootedGadget:
     dec_gadget: list[tuple[int, int, int]]           # partitions the gadget
     dec_joint: list[tuple[int, int, int]]            # partitions gadget + H
 
-    def gadget_graph(self) -> TripartiteGraph:
-        return graph_from_edges(self.parts, self.gadget_edges)
-
-    def joint_graph(self) -> TripartiteGraph:
-        return graph_from_edges(self.parts,
-                                self.gadget_edges + self.h_edges)
-
     def verify(self) -> bool:
         root_pairs = {frozenset(((r1[0], r1[1]), (r2[0], r2[1])))
                       for r1 in self.roots for r2 in self.roots if r1 != r2}
@@ -501,10 +501,10 @@ class RootedGadget:
             u, v = (kind, i), ((kind + 1) % 3, j)
             if frozenset((u, v)) in root_pairs:
                 return False
-        return (verify_triangle_decomposition(self.gadget_graph(),
+        return (verify_triangle_decomposition(self.gadget_edges,
                                               self.dec_gadget)
-                and verify_triangle_decomposition(self.joint_graph(),
-                                                  self.dec_joint))
+                and verify_triangle_decomposition(
+                    self.gadget_edges + self.h_edges, self.dec_joint))
 
 
 def _cycle_roots(length: int) -> tuple[list[Vertex], list[EdgeKey]]:
@@ -529,8 +529,8 @@ def gadget_search(h: str, aux_budget: int = 3,
     lengths = {"C3": 3, "C6": 6, "C9": 9}
     if h not in lengths:
         raise InputError("H must be one of C3, C6, C9")
-    if aux_budget > 12:
-        raise InputError("auxiliary budget capped at 12")
+    if not 0 <= aux_budget <= 12:
+        raise InputError("auxiliary budget must be in 0..12")
     roots, h_edges = _cycle_roots(lengths[h])
     nroots = lengths[h] // 3
     h_edge_set = set(h_edges)
@@ -661,8 +661,7 @@ def absorber_demo(g: int = 6) -> AbsorberDemo:
     cases = []
     for mask in range(8):
         l_edges = [e for b, e in enumerate(x_edges) if mask >> b & 1]
-        l_graph = graph_from_edges((1, 1, 1), l_edges)
-        if not is_triangle_divisible(l_graph):
+        if not is_triangle_divisible(l_edges):
             continue
         sizes = [1, 1, 1]
 
@@ -678,7 +677,7 @@ def absorber_demo(g: int = 6) -> AbsorberDemo:
         edges = list(l_edges)
         for kind, i, j in gadget.gadget_edges:
             edges.append(edge_key(vmap[kind, i], vmap[(kind + 1) % 3, j]))
-        cycles = decompose_into_tripartite_cycles(l_graph)
+        cycles = decompose_into_tripartite_cycles(l_edges)
         assert len(cycles) <= 1    # at most the root triangle
         source = gadget.dec_joint if cycles else gadget.dec_gadget
         block_set = {(vmap[0, t[0]][1], vmap[1, t[1]][1], vmap[2, t[2]][1])
@@ -696,8 +695,7 @@ def absorber_demo(g: int = 6) -> AbsorberDemo:
         assert not block_set, "a block fell outside the sphere stage"
         if len(edges) != len(set(edges)):
             raise AssertionError("absorber stages overlap")
-        host = graph_from_edges(sizes, edges)
-        cover_ok = verify_triangle_decomposition(host, final)
+        cover_ok = verify_triangle_decomposition(edges, final)
         gv = girth(TripleSystem(max(sizes), final), g_max=g)
         cases.append(
             AbsorberDemoCase(f"|L|={len(l_edges)}", len(final), cover_ok, gv))

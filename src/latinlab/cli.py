@@ -46,6 +46,7 @@ from .absorb import (
     absorber_demo,
     cover_with_short_cycles,
     gadget_search,
+    graph_edges,
     random_divisible_graph,
     reference_c3_gadget,
     sphere_cover,
@@ -303,7 +304,8 @@ def _cmd_boost(args) -> int:
                   for i, w in enumerate(res.phi_star)]
     _write_out("\n".join(star_lines) + "\n",
                os.path.join(args.out, "boost_phi_star.txt"))
-    sel = [f"{v1} {v2} {v3}" for v1, v2, v3 in res.selected.tris]
+    selected = tset.tris[res.chosen]
+    sel = [f"{v1} {v2} {v3}" for v1, v2, v3 in selected]
     _write_out("\n".join([str(tset.n)] + sel) + "\n",
                os.path.join(args.out, "boost_selected.txt"))
     buf = io.StringIO()
@@ -315,7 +317,7 @@ def _cmd_boost(args) -> int:
     _write_out(buf.getvalue(), os.path.join(args.out, "boost_trace.csv"))
     print(f"beta={format(res.beta, '.12g')} "
           f"final_max_disc={format(res.trace[-1].max_disc, '.12g')} "
-          f"selected={len(res.selected.tris)}")
+          f"selected={len(selected)}")
     return 0
 
 
@@ -356,11 +358,11 @@ def _cmd_absorb(args) -> int:
     if args.what == "path-cover":
         sizes = _parse_sizes(args.sizes)
         if args.graph:
-            l_graph = parse_tripartite(_read(args.graph))
+            l_edges = graph_edges(parse_tripartite(_read(args.graph)))
         else:
-            l_graph = random_divisible_graph(sizes, args.cycles,
+            l_edges = random_divisible_graph(sizes, args.cycles,
                                              RandomStream(args.seed))
-        cover = cover_with_short_cycles(l_graph, sizes, mu=args.mu)
+        cover = cover_with_short_cycles(l_edges, sizes, mu=args.mu)
         payload = {
             "mu": cover.mu,
             "verified": cover.verified,

@@ -279,7 +279,7 @@ def _distinct_symbols(q: np.ndarray) -> np.ndarray:
     return (q[_A] != q[_D]) & (q[_B] != q[_C])
 
 
-def _canonical(q: np.ndarray) -> tuple[np.ndarray, ...]:
+def _oriented(q: np.ndarray) -> tuple[np.ndarray, ...]:
     """Rows and columns (r1, r2, c1, c2) of distinct-symbol records
     turned to canonical orientation: rows swapped when the smallest
     symbol is in r2, then columns when it is in c2."""
@@ -379,7 +379,7 @@ def _distinct_class_sums(cells, col_pairs, quads) -> tuple[int, int]:
     _, cls, sizes = np.unique(keys[keep][distinct], return_inverse=True,
                               return_counts=True)
     pairs = int((sizes * (sizes - 1)).sum())
-    R1, R2, C1, C2 = _canonical(q)
+    R1, R2, C1, C2 = _oriented(q)
     m = len(cls)
     e_i, e_j = _partners(cls, R1, R2, n)
     f_i, f_j = _partners(cls, C1, C2, n)

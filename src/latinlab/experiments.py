@@ -386,8 +386,8 @@ def _exp_absorber_demo(spec: ExperimentSpec):
     mus = []
     for trial in range(spec.samples):
         rng = substream(spec.seed, 71, trial)
-        l_graph = random_divisible_graph((4, 4, 4), 6, rng)
-        res = cover_with_short_cycles(l_graph, (4, 4, 4))
+        l_edges = random_divisible_graph((4, 4, 4), 6, rng)
+        res = cover_with_short_cycles(l_edges, (4, 4, 4))
         if res.verified and max((len(c) for c in res.cycles), default=3) <= 9:
             pipelines += 1
         mus.append(res.mu)

@@ -55,14 +55,6 @@ KIND_COLS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 KIND_NAMES = ("12", "23", "31")
 
 
-def _canonical(kind: int, i, j, w):
-    if kind == 0:
-        return i, j, w
-    if kind == 1:
-        return w, i, j
-    return j, w, i
-
-
 class TriangleSet:
     """A triangle collection over a balanced tripartite host.
 
@@ -75,10 +67,14 @@ class TriangleSet:
     triangle counts, 64-bit apex masks (bit w of apex_masks[k][i, j]
     says the triangle with kind-k edge (i, j) and apex w is present) and
     per-vertex triangle counts.
+
+    ``toward`` is the (3, 2, n) array of host degrees: toward[p, 0, u]
+    counts the neighbours of vertex u of part p in part p + 1,
+    toward[p, 1, u] those in part p - 1, and ``deg`` is their sum.
     """
 
     __slots__ = ("host", "n", "tris", "id3", "apex_masks", "edge_counts",
-                 "vertex_counts", "deg", "edges_per_pair")
+                 "vertex_counts", "toward", "deg", "edges_per_pair")
 
     def __init__(self, host: TripartiteGraph, triangles):
         n1, n2, n3 = host.parts
@@ -129,14 +125,13 @@ class TriangleSet:
         # kind k's edges start in part k
         self.vertex_counts = np.stack([ec.sum(axis=1)
                                        for ec in self.edge_counts])
-        # degree of vertex u in part p, and cross-pair edge totals
-        deg = np.zeros((3, n), dtype=np.int64)
-        deg[0] = host.adj12.sum(axis=1) + host.adj31.sum(axis=0)
-        deg[1] = host.adj23.sum(axis=1) + host.adj12.sum(axis=0)
-        deg[2] = host.adj31.sum(axis=1) + host.adj23.sum(axis=0)
-        self.deg = deg
+        # kind p joins part p to part p + 1, kind p - 1 part p - 1 to p
+        self.toward = np.array(
+            [(self.adj(p).sum(axis=1), self.adj((p + 2) % 3).sum(axis=0))
+             for p in range(3)], dtype=np.int64)
+        self.deg = self.toward.sum(axis=1)
         self.edges_per_pair = tuple(
-            int(a.sum()) for a in (host.adj12, host.adj23, host.adj31))
+            int(e) for e in self.toward[:, 0].sum(axis=1))
 
     def __len__(self) -> int:
         return len(self.tris)
@@ -147,12 +142,6 @@ class TriangleSet:
 
     def adj(self, kind: int) -> np.ndarray:
         return (self.host.adj12, self.host.adj23, self.host.adj31)[kind]
-
-    def tri_id(self, v1: int, v2: int, v3: int) -> int:
-        return int(self.id3[v1, v2, v3])
-
-    def subset(self, keep) -> "TriangleSet":
-        return TriangleSet(self.host, self.tris[np.asarray(keep)])
 
 
 def complete_host(n: int) -> TripartiteGraph:
@@ -340,6 +329,7 @@ def psi_cycle(tset: TriangleSet, kind: int, e: tuple[int, int],
     if len({a1, a2, a3}) < 3 or len({b1, b2, b3}) < 3:
         raise ValueError("cycle vertices must be distinct per part")
     am = tset.apex_masks[kind]
+    ids = tset.id3.transpose(KIND_COLS[kind])  # axes (i, j, apex)
     # the sign is (-1)^{distance to e} around a1 - b1 - a2 - b2 - a3 - b3
     edges = [(a1, b1, 1.0), (a2, b1, -1.0), (a2, b2, 1.0),
              (a3, b2, -1.0), (a3, b3, 1.0), (a1, b3, -1.0)]
@@ -355,7 +345,7 @@ def psi_cycle(tset: TriangleSet, kind: int, e: tuple[int, int],
     out = np.zeros(len(tset))
     for x, y, sg in edges:
         for w in ws:
-            out[tset.tri_id(*_canonical(kind, x, y, w))] += sg / len(ws)
+            out[ids[x, y, w]] += sg / len(ws)
     return WeightFunction(tset, out)
 
 
@@ -568,18 +558,12 @@ def check_conditions(tset: TriangleSet, params: RegParams,
                    (1 - xi) * target1, (1 + xi) * target1,
                    lambda t: (int(ii[t]), int(jj[t])))
 
-    # condition 2: adjacency rows, by part of the target
-    row_toward = {
-        # (part of vertex, target part) -> rows of the adjacency matrix
-        (0, 1): tset.host.adj12, (1, 0): tset.host.adj12.T,
-        (1, 2): tset.host.adj23, (2, 1): tset.host.adj23.T,
-        (2, 0): tset.host.adj31, (0, 2): tset.host.adj31.T,
-    }
+    # condition 2: the adjacency rows toward the target of its parts
+    # target + 1 (kind target, transposed) and target + 2 (kind target + 2)
     for target in range(3):
         pa, pb = (target + 1) % 3, (target + 2) % 3
         verts = [(pa, v) for v in range(n)] + [(pb, v) for v in range(n)]
-        rows = np.concatenate([row_toward[pa, target],
-                               row_toward[pb, target]])
+        rows = np.concatenate([tset.adj(target).T, tset.adj(pb)])
         # each pool holds one vertex set per row, as indexes into verts
         pools = [np.arange(2 * n)[:, None],
                  np.stack(np.triu_indices(2 * n, k=1), axis=1)]
@@ -613,15 +597,9 @@ def check_conditions(tset: TriangleSet, params: RegParams,
     rep._check(4, "all", [max(pairs)], min(pairs), min(pairs),
                lambda t: ("cross-pair counts",))
     gap_cap = n ** (2 / 3)
-    # degree toward the two other parts, per vertex
-    toward = {
-        0: (tset.host.adj12.sum(axis=1), tset.host.adj31.sum(axis=0)),
-        1: (tset.host.adj23.sum(axis=1), tset.host.adj12.sum(axis=0)),
-        2: (tset.host.adj31.sum(axis=1), tset.host.adj23.sum(axis=0)),
-    }
-    for part, (d_next, d_prev) in toward.items():
-        gaps = np.abs(d_next.astype(np.int64) - d_prev.astype(np.int64))
-        rep._check(4, str(part), gaps, 0.0, gap_cap, lambda t: (int(t),))
+    for part, (d_next, d_prev) in enumerate(tset.toward):
+        rep._check(4, str(part), np.abs(d_next - d_prev), 0.0, gap_cap,
+                   lambda t: (int(t),))
     return rep
 
 
@@ -642,12 +620,16 @@ class TraceRow:
 
 @dataclass
 class BoostResult:
+    """What ``boost`` returns: ``phi_star``, the normalized weight of
+    each triangle of the input set, clamped to [0, 1]; ``chosen``, the
+    boolean mask of the triangles the rounding kept (the selected family
+    is ``tset.tris[chosen]``); ``trace``, one row per iteration from the
+    seed phi0 on; and ``beta``, the normalizing factor."""
+
     phi_star: np.ndarray
-    selected: TriangleSet
     chosen: np.ndarray
     trace: list[TraceRow]
     beta: float
-    final: WeightFunction
 
 
 def boost(tset: TriangleSet, params: RegParams, rng: RandomStream,
@@ -690,5 +672,4 @@ def boost(tset: TriangleSet, params: RegParams, rng: RandomStream,
                                                        * params.q * n)
     phi_star = np.clip(wf.values / beta, 0.0, 1.0)
     chosen = rng.child(1).generator.random(len(tset)) < phi_star
-    return BoostResult(phi_star, tset.subset(chosen), chosen, trace,
-                       beta, wf)
+    return BoostResult(phi_star, chosen, trace, beta)

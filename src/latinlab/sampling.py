@@ -207,6 +207,8 @@ def sample_squares(
     proper-visit counts carry no bias toward squares that follow long
     improper runs, as the first proper state after a move deadline does.
     """
+    if count < 0:
+        raise InputError(f"need count >= 0, got {count}")
     cfg = config or SamplerConfig()
     if n == 1:
         return [LatinSquare([[0]])] * count
@@ -266,6 +268,8 @@ def sample_rectangles(
     cfg = config or SamplerConfig()
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n, got k={k} n={n}")
+    if count < 0:
+        raise InputError(f"need count >= 0, got {count}")
     gen = rng.generator
     ident = np.arange(n)
     cap = max(1, _BATCH_ENTRIES // n)

@@ -13,7 +13,6 @@ from latinlab.absorb import (
     decompose_into_tripartite_cycles,
     gadget_search,
     graph_edges,
-    graph_from_edges,
     is_triangle_divisible,
     is_tripartite_cycle,
     random_divisible_graph,
@@ -25,7 +24,7 @@ from latinlab.absorb import (
     verify_cycle_partition,
     verify_triangle_decomposition,
 )
-from latinlab.core import TripleSystem
+from latinlab.core import InputError, TripleSystem
 from latinlab.rng import RandomStream, substream
 
 from reference import tripartite_of
@@ -43,24 +42,40 @@ def test_sphere_sizes_and_certificates():
 
 def test_sphere_in_decomposition_extends_out_by_base():
     sc = sphere_cover(3)
-    q, qt = sphere_graphs(sc)
+    q, qt = (graph_edges(g) for g in sphere_graphs(sc))
+    assert q == set(sc.edges)
     out_dec, in_dec = sphere_decompositions(sc)
     assert verify_triangle_decomposition(q, out_dec)
     assert verify_triangle_decomposition(qt, in_dec)
     # edge counts: in covers exactly three more edges
-    assert len(graph_edges(qt)) == len(graph_edges(q)) + 3
+    assert len(qt) == len(q) + 3
 
 
 def test_triangle_divisibility_detector():
-    intercalate = tripartite_of(
-        TripleSystem(2, [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]))
+    intercalate = graph_edges(tripartite_of(
+        TripleSystem(2, [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)])))
     assert is_triangle_divisible(intercalate)
-    lop = graph_from_edges((2, 2, 2), [(0, 0, 0)])
-    assert not is_triangle_divisible(lop)
+    assert is_triangle_divisible(sorted(intercalate))
+    assert not is_triangle_divisible([(0, 0, 0)])
+    # a repeated key counts once, as an edge does in a graph
+    assert not is_triangle_divisible([(0, 0, 0), (0, 0, 0)])
+
+
+def test_repeated_edge_keys_count_once():
+    verts = [(p, i) for i in range(4) for p in range(3)]
+    edges = cycle_edges(verts[:12])
+    cycles = decompose_into_tripartite_cycles(edges)
+    assert decompose_into_tripartite_cycles(edges + edges[:5]) == cycles
+    assert verify_cycle_partition(set(edges), cycles)
+    tris = [(0, 0, 0)]
+    tri_edges = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+    assert verify_triangle_decomposition(tri_edges + tri_edges[:1], tris)
+    assert cover_with_short_cycles(edges + edges[:5], (4, 4, 4)).cycles \
+        == cover_with_short_cycles(set(edges), (4, 4, 4)).cycles
 
 
 def test_verify_triangle_decomposition_rejects_overlap():
-    tri = tripartite_of(TripleSystem(1, [(0, 0, 0)]))
+    tri = graph_edges(tripartite_of(TripleSystem(1, [(0, 0, 0)])))
     assert verify_triangle_decomposition(tri, [(0, 0, 0)])
     assert not verify_triangle_decomposition(tri, [(0, 0, 0), (0, 0, 0)])
     assert not verify_triangle_decomposition(tri, [])
@@ -71,7 +86,7 @@ def test_cycle_decomposition_partitions_random_unions():
         rng = substream(71, seed)
         g = random_divisible_graph((4, 4, 4), 5, rng)
         cycles = decompose_into_tripartite_cycles(g)
-        assert verify_cycle_partition(set(graph_edges(g)), cycles)
+        assert verify_cycle_partition(g, cycles)
         for cyc in cycles:
             assert is_tripartite_cycle(cyc)
             assert len(cyc) % 3 == 0
@@ -102,8 +117,7 @@ def test_forced_twelve_cycle_splits_nine_nine():
     # a 12-cycle on X = (4,4,4) must splice into two 9-cycles
     verts = [(p, i) for i in range(4) for p in range(3)]
     cyc = verts[:12]
-    g = graph_from_edges((4, 4, 4), cycle_edges(cyc))
-    cover = cover_with_short_cycles(g, (4, 4, 4))
+    cover = cover_with_short_cycles(cycle_edges(cyc), (4, 4, 4))
     assert cover.verified
     lengths = sorted(len(c) for c in cover.cycles)
     assert max(lengths) <= 9
@@ -121,11 +135,14 @@ def test_short_cycle_cover_random_instances():
 
 
 def test_cover_rejects_overlapping_l():
-    # L must avoid the wedge edges only when they collide; a graph on X
-    # never collides, so build one that reuses a path-cover vertex pair
+    # a graph on X never collides with the wedge edges
     g = random_divisible_graph((2, 2, 2), 2, RandomStream(1))
     cover = cover_with_short_cycles(g, (2, 2, 2))
     assert cover.verified
+    # this triangle reaches the first interior vertex (1, 2) and reuses
+    # the wedge edge (0, 0, 2) of the path cover at mu = 2
+    with pytest.raises(InputError, match="L overlaps the path cover"):
+        cover_with_short_cycles({(0, 0, 2), (1, 2, 2), (2, 2, 0)}, (2, 2, 2))
 
 
 def test_reference_gadget_is_verified():

@@ -456,6 +456,11 @@ def test_bad_parameters_are_input_errors(capsys, tmp_path):
                   "--seed", "-1"],
                  ["process", "run", "--n", "5", "--seed", "-1"],
                  ["absorb", "path-cover", "--seed", "-1"],
+                 ["sample", "square", "--n", "5", "--count", "-2"],
+                 ["sample", "rectangle", "--n", "5", "--k", "2",
+                  "--count", "-1"],
+                 ["absorb", "path-cover", "--cycles", "-3"],
+                 ["absorb", "gadget", "--aux-budget", "-1"],
                  ["phi", "--N", "0"],
                  ["phi", "--N", "1" * 400],
                  ["phi", "--N", "10000001"],
