@@ -158,8 +158,7 @@ def _exp_intercalate_mean(spec: ExperimentSpec):
 
     def one(c: int) -> list[int]:
         rng = substream(spec.seed, 11, c)
-        return [count_intercalates(sq)
-                for sq in sample_squares(n, counts[c], rng)]
+        return count_intercalates_each(sample_squares(n, counts[c], rng))
 
     per_chain = _pool_map(one, range(chains), spec.threads)
     rows = [(c, d, v)

@@ -16,7 +16,9 @@ off each part V^j; on a part where f is constant (every part of a
 vertex-regular host, such as the conforming instance) chi_{V^j} = 0,
 so it costs nothing there and phi0 is exactly 1.  A host with no
 K_{2,1,1} through a same-part pair whose f differs cannot be balanced
-this way: that is an InputError, and ``latinlab boost`` exits 2 on it.
+this way, nor can one whose three cross-pair edge counts differ (the f
+of some part then does not sum to 0): both are InputErrors, and
+``latinlab boost`` exits 2 on them.
 
 psi_e averages, over 6-cycles J through an edge e (alternating between
 e's two parts), the function psi_{J,e} that places alternating signs
@@ -307,7 +309,15 @@ def chi_part(tset: TriangleSet, part: int) -> np.ndarray:
 
 
 def phi0(tset: TriangleSet) -> WeightFunction:
-    """The vertex-balanced seed 1 + chi_{V^1} + chi_{V^2} + chi_{V^3}."""
+    """The vertex-balanced seed 1 + chi_{V^1} + chi_{V^2} + chi_{V^3}.
+
+    A part's imbalances sum to |T| (1 - 3 (its two cross-pair counts) /
+    2|E|), so unless the three cross-pair counts are equal (or 𝒯 is
+    empty) no chi balances every part: that raises InputError."""
+    pairs = tset.edges_per_pair
+    if len(tset) and len(set(pairs)) > 1:
+        raise InputError(f"cross-pair edge counts {pairs} differ, so no "
+                         "chi can balance the vertex weights")
     out = np.ones(len(tset))
     for part in range(3):
         out += chi_part(tset, part)

@@ -22,16 +22,25 @@ reads 0, 1, ..., n-1, is a bijection from k x n Latin rectangles onto
 pairs of a permutation and a normalized rectangle, so a uniform
 rectangle is N[:, pi] for a uniform permutation pi and an independent
 uniform normalized N.  Rows 1..k-1 of N are drawn as independent uniform
-permutations (Fisher-Yates, ``Generator.permuted``), and the whole tuple
-is kept when no column repeats a symbol: conditioning the product law
-on that event leaves it uniform on normalized rectangles.  The check is
-staged, row by row: a tuple is dropped as soon as its newest row clashes
-with an earlier one, and later rows are drawn for the survivors only.
-That changes the cost, not the law, since the tuple is rejected whatever
-its later rows are.  Redrawing just the clashing row would bias the law.
-Survivors are independent, so the first ones in batch order are kept.
-Acceptance tends to exp(-k(k-1)/2), so this is practical for small k
-only.
+derangements of row 0 (uniform permutations by Fisher-Yates,
+``Generator.permuted``, each redrawn until it has no fixed point), and
+the whole tuple is kept when no two random rows share a symbol in a
+column.  A clash with the fixed row 0 depends on the new row alone, so
+redrawing a row with a fixed point keeps it uniform on the derangements,
+and Unif(D)^(k-1) conditioned on pairwise compatibility is the product
+law of uniform permutations conditioned on the same event: uniform on
+normalized rectangles.  The check is staged, row by row: a tuple is
+dropped as soon as its newest row clashes with an earlier random row,
+and later rows are drawn for the survivors only.  That changes the
+cost, not the law, since the tuple is rejected whatever its later rows
+are.  Redrawing just a row that clashes with an earlier *random* row
+would bias the law.  Survivors are independent, so the first ones in
+batch order are kept.  Acceptance tends to exp(-(k-1)(k-2)/2), and each
+derangement costs about e permutations, so a rectangle costs about
+(k-1) e^(1+(k-1)(k-2)/2) permutations of n: 2e^2 = 14.8 at k = 3,
+3e^4 = 164 at k = 4, 4e^7 = 4400 at k = 5.  That keeps k <= 5 cheap at
+desk sizes; from k = 6 on (5e^11, about 3 * 10^5 permutations a
+rectangle) the sampler is practical only for a few rectangles.
 """
 
 from __future__ import annotations
@@ -41,7 +50,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, LatinRectangle, LatinSquare, group_table
+from .core import (
+    InputError,
+    LatinRectangle,
+    LatinSquare,
+    _grid_dtype,
+    group_table,
+)
 from .rng import RandomStream
 
 
@@ -68,8 +83,10 @@ class SamplerConfig:
     16-32 chains of the total, which starts 4-8 times too high, within
     0.06-0.1 n^2 (n = 16, 32).  Burn-in is 1 n^2, eight times longer.
 
-    ``rectangle_budget`` is in candidate row tuples per rectangle asked
-    for: a ``sample_rectangles`` call of ``count`` rectangles raises
+    ``rectangle_budget`` is in candidates per rectangle asked for, a
+    candidate being a tuple of k - 1 derangements of row 0 (the redraws
+    that make a row a derangement are not counted): a
+    ``sample_rectangles`` call of ``count`` rectangles raises
     RuntimeError after ``count * rectangle_budget`` candidates.
     """
 
@@ -133,17 +150,29 @@ def jm_run(cube: IncidenceCube, words: list[int], start: int,
     symbol of cell (r, c); with v uniform below 2^62 the modulo bias is
     below n^3 / 2^62.  A move from an improper cube reads bits 0, 1 and
     2 of its word to pick the symbol, column and row of the box.
+
+    While the run lasts, the improper record (r, c, s, sym2, col2,
+    row2) and the lists S[r], C[r], R[c] through it are locals, and
+    ``cube.improper`` is written once, on return.  Each move reads the
+    next record's sym2, col2 and row2 straight into them (sym2 == s1:
+    the box closed and the cube is proper), and the target is checked
+    only on a proper landing, the one place ``proper_steps`` grows.
     """
+    visits = cube.proper_steps
+    if visits >= target:
+        return start
     n = cube.n
     nm1 = n - 1
     S, R, C = cube.S, cube.R, cube.C
-    imp = cube.improper
-    visits = cube.proper_steps
+    proper = cube.improper is None
+    if not proper:
+        r, c, s, sym2, col2, row2 = cube.improper
+        Sr, Cr, Rc = S[r], C[r], R[c]
     i, end = start, len(words)
-    while visits < target and i < end:
+    while i < end:
         v = words[i]
         i += 1
-        if imp is None:
+        if proper:
             r = v % n
             v //= n
             c = v % n
@@ -156,8 +185,6 @@ def jm_run(cube: IncidenceCube, words: list[int], start: int,
             c1 = Cr[s]
             fs, fc, fr = s, c, r
         else:
-            r, c, s, sym2, col2, row2 = imp
-            Sr, Cr, Rc = S[r], C[r], R[c]
             if v & 1:
                 s1, fs = sym2, Sr[c]
             else:
@@ -171,9 +198,9 @@ def jm_run(cube: IncidenceCube, words: list[int], start: int,
             else:
                 r1, fr = Rc[s], row2
         Sr1, Cr1, Rc1 = S[r1], C[r1], R[c1]
-        t = Sr1[c1]
-        old_col = Cr1[s1]
-        old_row = Rc1[s1]
+        sym2 = Sr1[c1]
+        col2 = Cr1[s1]
+        row2 = Rc1[s1]
         Sr[c] = fs
         Cr[s] = fc
         Rc[s] = fr
@@ -186,14 +213,19 @@ def jm_run(cube: IncidenceCube, words: list[int], start: int,
         Sr1[c1] = s
         Cr1[s] = c1
         Rc1[s] = r1
-        if t == s1:
-            imp = None
+        if sym2 == s1:
+            proper = True
             visits += 1
+            if visits == target:
+                break
         else:
-            imp = (r1, c1, s1, t, old_col, old_row)
+            # the -1 moves to (r1, c1, s1)
+            proper = False
+            r, c, s = r1, c1, s1
+            Sr, Cr, Rc = Sr1, Cr1, Rc1
     cube.moves += i - start
     cube.proper_steps = visits
-    cube.improper = imp
+    cube.improper = None if proper else (r, c, s, sym2, col2, row2)
     return i
 
 
@@ -255,6 +287,19 @@ def autocorrelation_time(chains) -> float:
 _BATCH_ENTRIES = 1 << 16
 
 
+def _derangements(gen: np.random.Generator, ident: np.ndarray,
+                  m: int) -> np.ndarray:
+    """``m`` independent uniform derangements of ``ident``, one per row:
+    uniform permutations, with each row that has a fixed point redrawn
+    until it has none."""
+    out = gen.permuted(np.tile(ident, (m, 1)), axis=1)
+    bad = np.flatnonzero((out == ident).any(axis=1))
+    while len(bad):
+        out[bad] = gen.permuted(np.tile(ident, (len(bad), 1)), axis=1)
+        bad = bad[(out[bad] == ident).any(axis=1)]
+    return out
+
+
 def sample_rectangles(
     k: int,
     n: int,
@@ -274,7 +319,7 @@ def sample_rectangles(
     ident = np.arange(n)
     cap = max(1, _BATCH_ENTRIES // n)
     # acceptance sizes the batch only; below 1/cap every batch is capped
-    accept = max(math.exp(-k * (k - 1) / 2), 1 / cap)
+    accept = max(math.exp(-(k - 1) * (k - 2) / 2), 1 / cap)
     budget = count * cfg.rectangle_budget
     out: list[LatinRectangle] = []
     while len(out) < count:
@@ -287,13 +332,14 @@ def sample_rectangles(
         budget -= b
         rows = np.broadcast_to(ident, (b, 1, n))
         for _ in range(1, k):
-            new = gen.permuted(np.tile(ident, (len(rows), 1)), axis=1)
-            ok = (new[:, None, :] != rows).all(axis=(1, 2))
+            new = _derangements(gen, ident, len(rows))
+            ok = (new[:, None, :] != rows[:, 1:]).all(axis=(1, 2))
             rows = np.concatenate((rows[ok], new[ok, None, :]), axis=1)
         rows = rows[:need]
         pi = gen.permuted(np.tile(ident, (len(rows), 1)), axis=1)
-        out += map(LatinRectangle, np.take_along_axis(rows, pi[:, None, :],
-                                                      axis=2))
+        # one array in the grid dtype, so no rectangle copies its grid
+        grids = np.take_along_axis(rows, pi[:, None, :], axis=2)
+        out += map(LatinRectangle, grids.astype(_grid_dtype(n)))
     return out
 
 

@@ -3,10 +3,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from latinlab.cli import build_parser, main
 from latinlab.core import (
+    TripartiteGraph,
     group_table,
     parse_grid,
     parse_triples,
@@ -16,6 +18,8 @@ from latinlab.core import (
 from latinlab.counting import count_intercalates, cuboctahedron_report
 from latinlab.experiments import _DEFAULTS
 from latinlab.fracdec import complete_host, conforming_instance
+
+from reference import all_triangles
 
 
 def run(capsys, *argv):
@@ -440,6 +444,29 @@ def test_boost_force_without_k211_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: conditions fail")
+    assert not list(tmp_path.glob("boost_*"))
+
+
+def test_boost_force_with_unequal_pair_counts_is_input_error(capsys,
+                                                             tmp_path):
+    # each adjacency drawn at density 0.9: the cross-pair counts differ,
+    # so some part's imbalances do not sum to 0 and no chi balances it
+    rng = np.random.default_rng(7)
+    host = TripartiteGraph.from_adjacency(
+        *(rng.random((8, 8)) < 0.9 for _ in range(3)))
+    tset = all_triangles(host)
+    assert tset.edges_per_pair == (60, 57, 54)
+    graph = tmp_path / "host.json"
+    cand = tmp_path / "cand.txt"
+    graph.write_text(serialize_tripartite(host))
+    cand.write_text("\n".join(
+        ["8"] + [f"{a} {b} {c}" for a, b, c in tset.tris]) + "\n")
+    code, _, err = run(capsys, "boost", "--graph", str(graph),
+                       "--triangles", str(cand), "--out", str(tmp_path),
+                       "--force")
+    assert code == 2
+    assert err == ("error: cross-pair edge counts (60, 57, 54) differ, so "
+                   "no chi can balance the vertex weights\n")
     assert not list(tmp_path.glob("boost_*"))
 
 

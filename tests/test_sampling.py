@@ -1,5 +1,6 @@
 """Samplers: validity, determinism, enumeration, and light statistics."""
 
+import hashlib
 import itertools
 import math
 
@@ -135,20 +136,25 @@ def test_rectangle_sampler_determinism():
 
 
 def test_rectangle_budget_counts_candidate_tuples():
-    # 1128960 of the 720^5 normalized 6 x 6 candidates are Latin
+    # 1128960 of the 265^5 normalized 6 x 6 candidates (rows 1..5
+    # derangements of row 0) are Latin
     with pytest.raises(RuntimeError):
         sample_rectangles(6, 6, 2, RandomStream(7),
                           SamplerConfig(rectangle_budget=1000))
 
 
-@pytest.mark.parametrize("k, n, size", [(2, 4, 216), (3, 4, 576)])
+@pytest.mark.parametrize("k, n, size", [(2, 4, 216), (3, 4, 576),
+                                         (4, 4, 576)])
 def test_sampled_rectangles_follow_the_uniform_law(k, n, size):
     # every k x n rectangle, 20 expected draws each, over 8 calls so
     # that batch boundaries fall inside the sample; chi-square is
-    # checked at its 1e-4 upper quantile
+    # checked at its 1e-4 upper quantile.  k = 4 is the first case that
+    # checks a random row against two earlier random rows
     perms = list(itertools.permutations(range(n)))
-    cells = [rows for rows in itertools.product(perms, repeat=k)
-             if all(len(set(col)) == k for col in zip(*rows))]
+    cells = [()]
+    for _ in range(k):
+        cells = [rows + (p,) for rows in cells for p in perms
+                 if all(a != b for row in rows for a, b in zip(row, p))]
     assert len(cells) == size
     index = {np.array(rows).tobytes(): i for i, rows in enumerate(cells)}
     draws = [index[r.grid.astype(np.int64).tobytes()] for c in range(8)
@@ -158,6 +164,21 @@ def test_sampled_rectangles_follow_the_uniform_law(k, n, size):
     exp = len(draws) / size
     chi2 = float(((obs - exp) ** 2 / exp).sum())
     assert chi2 < stats.chi2.isf(1e-4, size - 1), chi2
+
+
+@pytest.mark.parametrize("k, n, count, digest", [
+    (3, 10, 50,
+     "0f624acd6f00b4fd16203210d8f7be10a0d7c796d189131bee367533970494ed"),
+    (4, 7, 30,
+     "6023616ef7bb4d5fcc4ca81da466c641bad831dfee6e5224713460ab4f5e89ed"),
+])
+def test_rectangle_outputs_are_pinned(k, n, count, digest):
+    # SHA-256 of the grids in call order: a change to the law or to the
+    # order of the draws moves it
+    h = hashlib.sha256()
+    for rect in sample_rectangles(k, n, count, RandomStream(11)):
+        h.update(rect.grid.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_rectangle_first_row_is_uniform_permutation():
