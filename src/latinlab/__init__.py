@@ -14,7 +14,6 @@ from .core import (
     LatinSquare,
     TripartiteGraph,
     TripleSystem,
-    from_triples,
     group_table,
     to_triples,
     validate,
@@ -43,7 +42,6 @@ __all__ = [
     "LatinSquare",
     "TripartiteGraph",
     "TripleSystem",
-    "from_triples",
     "group_table",
     "to_triples",
     "validate",

@@ -59,8 +59,7 @@ from .core import (
     parse_grid,
     parse_tripartite,
     parse_triples,
-    serialize_rectangle,
-    serialize_square,
+    serialize_grid,
     serialize_tripartite,
     serialize_triples,
 )
@@ -215,17 +214,15 @@ def _cmd_sample(args) -> int:
     if args.kind == "square":
         cfg = (SamplerConfig() if args.burnin is None
                else SamplerConfig(burn_in_factor=args.burnin))
-        squares = sample_squares(args.n, args.count, rng, cfg)
-        text = "".join(serialize_square(sq) for sq in squares)
+        grids = sample_squares(args.n, args.count, rng, cfg)
     else:
         if args.k is None:
             raise InputError("sample rectangle needs --k")
         if args.burnin is not None:
             raise InputError("--burnin is for sample square: rectangles "
                              "are exact rejection draws, with no chain")
-        rects = sample_rectangles(args.k, args.n, args.count, rng)
-        text = "".join(serialize_rectangle(r) for r in rects)
-    _write_out(text, args.out)
+        grids = sample_rectangles(args.k, args.n, args.count, rng)
+    _write_out("".join(serialize_grid(g) for g in grids), args.out)
     return 0
 
 

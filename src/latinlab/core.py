@@ -1,11 +1,14 @@
 """Core types: Latin squares and rectangles, triple systems, tripartite graphs.
 
-An order-n Latin square is held as a dense n x n array over symbols
-0..n-1 (bytes when n <= 256, words above).  The triple-system view of the
-same object is the set of n^2 triples (r, c, s) with L[r][c] = s; a
-*partial* Latin square is any triple set in which no two triples agree in
-two coordinates.  Triples double as the triangles of a tripartite graph
-on parts R, C, S, which is the representation the decomposition and
+A k x n Latin rectangle is held as a dense k x n array over symbols
+0..n-1 (bytes when n <= 256, words above).  An order-n Latin square is
+the k = n rectangle: ``LatinSquare`` subclasses ``LatinRectangle`` and
+adds only the square-shape check, so code that reads grids takes both
+as a ``LatinRectangle``.  The triple-system view of the same object is
+the set of kn triples (r, c, s) with L[r][c] = s; a *partial* Latin
+square is any triple set in which no two triples agree in two
+coordinates.  Triples double as the triangles of a tripartite graph on
+parts R, C, S, which is the representation the decomposition and
 absorber modules work with.
 """
 
@@ -46,39 +49,9 @@ class InputError(ValueError):
 class ValidityReport:
     ok: bool
     message: str = "ok"
-    where: tuple | None = None
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-class LatinSquare:
-    """Complete order-n Latin square over symbols 0..n-1."""
-
-    __slots__ = ("n", "grid")
-
-    def __init__(self, grid):
-        g = np.asarray(grid)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"square grid required, got shape {g.shape}")
-        n = int(g.shape[0])
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "grid", _as_grid(g, n))
-
-    def __setattr__(self, *a):  # immutable by convention, grid is read-only
-        raise AttributeError("LatinSquare is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, LatinSquare) and np.array_equal(self.grid, other.grid)
-
-    def __hash__(self):
-        return hash((self.n, self.grid.tobytes()))
-
-    def __repr__(self):
-        return f"LatinSquare(n={self.n})"
-
-    def key(self) -> bytes:
-        return self.grid.tobytes()
 
 
 class LatinRectangle:
@@ -97,19 +70,35 @@ class LatinRectangle:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "grid", _as_grid(g, n))
 
-    def __setattr__(self, *a):
-        raise AttributeError("LatinRectangle is immutable")
+    def __setattr__(self, *a):  # immutable by convention, grid is read-only
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, LatinRectangle) and np.array_equal(
-            self.grid, other.grid
-        )
+        # a square never equals the k = n rectangle of the same grid
+        return type(other) is type(self) and np.array_equal(self.grid,
+                                                             other.grid)
 
     def __hash__(self):
         return hash((self.k, self.n, self.grid.tobytes()))
 
     def __repr__(self):
         return f"LatinRectangle(k={self.k}, n={self.n})"
+
+
+class LatinSquare(LatinRectangle):
+    """Complete order-n Latin square over symbols 0..n-1: the k = n
+    rectangle."""
+
+    __slots__ = ()
+
+    def __init__(self, grid):
+        g = np.asarray(grid)
+        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+            raise ValueError(f"square grid required, got shape {g.shape}")
+        super().__init__(g)
+
+    def __repr__(self):
+        return f"LatinSquare(n={self.n})"
 
 
 class TripleSystem:
@@ -291,7 +280,7 @@ def validate(obj) -> ValidityReport:
     Squares and rectangles are checked as their triples, so the violation
     reported first is the first in sorted (row, column, symbol) order.
     """
-    if isinstance(obj, (LatinSquare, LatinRectangle)):
+    if isinstance(obj, LatinRectangle):
         obj = to_triples(obj)
     if isinstance(obj, TripleSystem):
         return _validate_triples(obj)
@@ -325,13 +314,12 @@ def _validate_triples(ts: TripleSystem) -> ValidityReport:
     r, c, s = ts.triples[i]
     kind = int(np.argmax(flags[:, i]))
     if kind == 0:
-        return ValidityReport(False, f"coordinate out of range in {(r, c, s)}",
-                              (r, c, s))
+        return ValidityReport(False, f"coordinate out of range in {(r, c, s)}")
     if kind == 1:
-        return ValidityReport(False, f"cell ({r},{c}) holds two symbols", (r, c))
+        return ValidityReport(False, f"cell ({r},{c}) holds two symbols")
     if kind == 2:
-        return ValidityReport(False, f"row {r} repeats symbol {s}", (r, s))
-    return ValidityReport(False, f"column {c} repeats symbol {s}", (c, s))
+        return ValidityReport(False, f"row {r} repeats symbol {s}")
+    return ValidityReport(False, f"column {c} repeats symbol {s}")
 
 
 def stable_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -376,49 +364,22 @@ def group_table(kind: str, order_param: int) -> LatinSquare:
 
 
 def to_triples(obj) -> TripleSystem:
-    if isinstance(obj, (LatinSquare, LatinRectangle)):
-        k = obj.grid.shape[0]
-        n = obj.n
+    if isinstance(obj, LatinRectangle):
+        k, n = obj.k, obj.n
         rr, cc = np.meshgrid(np.arange(k), np.arange(n), indexing="ij")
         return TripleSystem.from_array(
             n, np.stack((rr.ravel(), cc.ravel(), obj.grid.ravel()), axis=1))
     raise TypeError(f"cannot view {type(obj).__name__} as triples")
 
 
-def from_triples(ts: TripleSystem):
-    """Rebuild the densest array the triples describe.
-
-    A full n x n system becomes a LatinSquare; a system whose filled rows
-    0..k-1 are each complete becomes a LatinRectangle.  Anything else is
-    genuinely partial and stays a TripleSystem, which is an error here.
-    """
-    rep = validate(ts)
-    if not rep:
-        raise ValueError(f"not a partial Latin square: {rep.message}")
-    n = ts.n
-    grid = ts.cell_grid()
-    filled_rows = [i for i in range(n) if (grid[i] >= 0).all()]
-    if len(ts) == n * n:
-        return LatinSquare(grid)
-    if filled_rows == list(range(len(filled_rows))) and \
-            len(ts) == len(filled_rows) * n:
-        return LatinRectangle(grid[: len(filled_rows)])
-    raise ValueError("triples do not fill a leading block of rows")
-
-
 # ---------------------------------------------------------------------------
 # text and JSON formats
 
 
-def serialize_square(sq: LatinSquare) -> str:
-    lines = [str(sq.n)]
-    lines += [" ".join(str(int(x)) for x in row) for row in sq.grid]
-    return "\n".join(lines) + "\n"
-
-
-def serialize_rectangle(rect: LatinRectangle) -> str:
-    lines = [f"{rect.k} {rect.n}"]
-    lines += [" ".join(str(int(x)) for x in row) for row in rect.grid]
+def serialize_grid(obj: LatinRectangle) -> str:
+    """The grid format: header 'n' for a LatinSquare, 'k n' otherwise."""
+    head = str(obj.n) if isinstance(obj, LatinSquare) else f"{obj.k} {obj.n}"
+    lines = [head] + [" ".join(str(int(x)) for x in row) for row in obj.grid]
     return "\n".join(lines) + "\n"
 
 

@@ -127,7 +127,7 @@ def count_intercalates_each(objs) -> list[int]:
 
 def _symbol_grid(obj) -> np.ndarray:
     """The k x n symbol grid of obj, symbol n on empty cells."""
-    if isinstance(obj, (LatinSquare, LatinRectangle)):
+    if isinstance(obj, LatinRectangle):
         return obj.grid
     if isinstance(obj, TripleSystem):
         _require_latin(obj)
@@ -206,7 +206,7 @@ def _require_latin(ts: TripleSystem) -> None:
 
 
 def _cells_of(obj) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    if isinstance(obj, (LatinSquare, LatinRectangle)):
+    if isinstance(obj, LatinRectangle):
         obj = to_triples(obj)
     elif isinstance(obj, TripleSystem):
         _require_latin(obj)
@@ -559,7 +559,7 @@ def girth(obj, g_max: int = 12) -> int | None:
     triples can be in one, so the others are dropped first), and
     otherwise no girth below 8, from which ``_girth_search`` starts.
     """
-    if isinstance(obj, (LatinSquare, LatinRectangle)):
+    if isinstance(obj, LatinRectangle):
         obj = to_triples(obj)
     if not isinstance(obj, TripleSystem):
         raise TypeError(f"girth undefined for {type(obj).__name__}")

@@ -148,22 +148,31 @@ def _pool_map(fn, args, threads: int) -> list:
         return list(pool.map(fn, args))
 
 
+def _chunked_draws(spec: ExperimentSpec, tag: int, chunks: int, draw):
+    """Split spec.samples over ``chunks`` and run ``draw(count, rng)`` on
+    each, with rng the chunk's substream (seed, tag, chunk), through the
+    pool.  Returns the per-chunk value lists, the (chunk, draw, value)
+    rows and the values as a float array."""
+    counts = _chunk_counts(spec.samples, chunks)
+
+    def one(c: int) -> list:
+        return draw(counts[c], substream(spec.seed, tag, c))
+
+    per_chunk = _pool_map(one, range(chunks), spec.threads)
+    rows = [(c, d, v)
+            for c, vals in enumerate(per_chunk) for d, v in enumerate(vals)]
+    return per_chunk, rows, np.array([r[2] for r in rows], dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # the experiments
 
 
 def _exp_intercalate_mean(spec: ExperimentSpec):
-    n, chains = spec.n, 8
-    counts = _chunk_counts(spec.samples, chains)
-
-    def one(c: int) -> list[int]:
-        rng = substream(spec.seed, 11, c)
-        return count_intercalates_each(sample_squares(n, counts[c], rng))
-
-    per_chain = _pool_map(one, range(chains), spec.threads)
-    rows = [(c, d, v)
-            for c, vals in enumerate(per_chain) for d, v in enumerate(vals)]
-    vals = np.array([r[2] for r in rows], dtype=float)
+    n = spec.n
+    per_chain, rows, vals = _chunked_draws(
+        spec, 11, 8,
+        lambda m, rng: count_intercalates_each(sample_squares(n, m, rng)))
     target = n * n / 4
     checks = [Check("mean-intercalates", float(vals.mean()),
                     0.85 * target, 1.15 * target)]
@@ -176,17 +185,10 @@ def _exp_intercalate_mean(spec: ExperimentSpec):
 
 
 def _exp_rectangle_poisson(spec: ExperimentSpec):
-    k, n, chunks = spec.k, spec.n, 16
-    counts = _chunk_counts(spec.samples, chunks)
-
-    def one(c: int) -> list[int]:
-        rng = substream(spec.seed, 23, c)
-        return count_intercalates_each(sample_rectangles(k, n, counts[c], rng))
-
-    per_chunk = _pool_map(one, range(chunks), spec.threads)
-    rows = [(c, d, v)
-            for c, vals in enumerate(per_chunk) for d, v in enumerate(vals)]
-    vals = np.array([r[2] for r in rows], dtype=float)
+    k, n = spec.k, spec.n
+    _, rows, vals = _chunked_draws(
+        spec, 23, 16,
+        lambda m, rng: count_intercalates_each(sample_rectangles(k, n, m, rng)))
     lam = k * (k - 1) / 4
     support = range(9)
     emp = np.array([(vals == j).mean() for j in support])
@@ -285,21 +287,14 @@ def _exp_highgirth_coverage(spec: ExperimentSpec):
 
 
 def _exp_gstar_cuboctahedra(spec: ExperimentSpec):
-    n, alpha, chunks = spec.n, spec.alpha, 25
-    counts = _chunk_counts(spec.samples, chunks)
+    n, alpha = spec.n, spec.alpha
 
-    def one(c: int) -> list[int]:
-        rng = substream(spec.seed, 53, c)
-        out = []
-        for _ in range(counts[c]):
-            ts = collision_filter(sample_sparse_system(n, alpha, rng))
-            out.append(count_cuboctahedra_nondegenerate(ts))
-        return out
+    def draw(m: int, rng) -> list[int]:
+        return [count_cuboctahedra_nondegenerate(
+                    collision_filter(sample_sparse_system(n, alpha, rng)))
+                for _ in range(m)]
 
-    per_chunk = _pool_map(one, range(chunks), spec.threads)
-    rows = [(c, d, v)
-            for c, vals in enumerate(per_chunk) for d, v in enumerate(vals)]
-    vals = np.array([r[2] for r in rows], dtype=float)
+    _, rows, vals = _chunked_draws(spec, 53, 25, draw)
     target = math.exp(-24 * alpha) * alpha**8 * n**4
     checks = [Check("mean-nondegenerate", float(vals.mean()),
                     0.8 * target, 1.2 * target)]

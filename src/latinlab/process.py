@@ -34,26 +34,25 @@ same partners as walks over ``row_cols[r] & sym_cols[s]`` and
 symbol s2 is already in column c (side cell) or row r (symbol-matching
 cell): the completing triple (r3, c, s2) or (r, c3, s2) is then
 unavailable, and the column walk rejected those partners by the same
-test.  The triples added, the danger bits, ``made`` and the weights are
-therefore the same; only the order of the additions differs, and no
-triple is added twice.  Without the constraint the table stays empty
-and every available triple is safe.
+test.  The triples added, the danger bits and the weights are therefore
+the same; only the order of the additions differs, and no triple is
+added twice.  Without the constraint the table stays empty and every
+available triple is safe.
 
 Two weight tables are kept exactly beside it: ``w[r][c]``, the number
 of safe available symbols of cell (r, c), and ``roww[r]``, the sum of
-row r of ``w``.  A placement removes its own cell, the (r, c2, s) for
-the free columns c2 and the (r2, c, s) for the free rows r2; the
-dangerous ones among them are the popcounts of those free masks with
-``dsyms[r][c]``, ``dcols[r][s]`` and ``drows[c][s]``, and only the free
-columns and rows outside the danger masks cost their cell one weight.
-A new danger entry on an available triple costs its cell one as well.
-A step draws one k uniform in [0, safe count) and maps it to a triple:
-the row and then the cell by subtracting ``roww`` and then ``w[r]``
-from k until it falls inside one entry (a Python loop that stops early
-costs less than building the running sums), the symbol as entry k of
-the ascending list of the cell's free symbols outside ``dsyms``.  The
-map is a bijection onto the safe set, so each step is exactly uniform
-at O(n) cost.
+row r of ``w``; the safe count is the sum of ``roww``.  A placement
+removes its own cell, the (r, c2, s) for the free columns c2 and the
+(r2, c, s) for the free rows r2, and only the free columns and rows
+outside the danger masks ``dcols[r][s]`` and ``drows[c][s]`` cost their
+cell one weight.  A new danger entry on an available triple costs its
+cell one as well.  A step draws one k uniform in [0, safe count) and
+maps it to a triple: the row and then the cell by subtracting ``roww``
+and then ``w[r]`` from k until it falls inside one entry (a Python loop
+that stops early costs less than building the running sums), the symbol
+as entry k of the ascending list of the cell's free symbols outside
+``dsyms``.  The map is a bijection onto the safe set, so each step is
+exactly uniform at O(n) cost.
 
 Every walk over a mask (the weight updates, the three scans, the symbol
 pick and ``safe_candidates``) goes through ``set_bits``, which reads the
@@ -177,7 +176,6 @@ class ProcessState:
         self.w = [[n] * n for _ in range(n)]   # [r][c] -> safe symbols
         self.roww = [n * n] * n                # sum of w[r]
         self.available = n**3
-        self.dangerous_available = 0
         self.steps = 0
 
     # -- predicates ---------------------------------------------------------
@@ -193,7 +191,7 @@ class ProcessState:
 
     @property
     def safe_count(self) -> int:
-        return self.available - self.dangerous_available
+        return sum(self.roww)
 
     # -- the update ---------------------------------------------------------
 
@@ -213,11 +211,6 @@ class ProcessState:
         free_rows = ~(col_rows | sym_rows | 1 << r) & full
         self.available -= (
             free_syms.bit_count() + free_cols.bit_count() + free_rows.bit_count()
-        )
-        self.dangerous_available -= (
-            (free_syms & dsyms[r][c]).bit_count()
-            + (free_cols & dcols[r][s]).bit_count()
-            + (free_rows & drows[c][s]).bit_count()
         )
         # the safe triples that become unavailable each cost their cell one
         wr = w[r]
@@ -249,7 +242,6 @@ class ProcessState:
         # its row or column completes at most one corner, told apart by
         # whether the partner's line held s before this placement
         # (``sym_cols`` and ``sym_rows`` are the masks from before it)
-        made = 0
         cellr = cell[r]
         for c2 in set_bits(row_cols & ~sym_cols, tables):
             # the new triple is the opposite corner
@@ -262,7 +254,6 @@ class ProcessState:
                 drows[c2][s] |= 1 << r3
                 w[r3][c2] -= 1
                 roww[r3] -= 1
-                made += 1
         col_of_r = col_of[r]
         for s2 in set_bits(row_syms[r] & ~col_syms[c], tables):
             # the new triple is the side cell, partner (r, c2, s2)
@@ -277,7 +268,6 @@ class ProcessState:
                 drows[c][s2] |= 1 << r3
                 w[r3][c] -= 1
                 roww[r3] -= 1
-                made += 1
         row_of_c = row_of[c]
         for s2 in set_bits(col_syms[c] & ~row_syms[r], tables):
             # the new triple is the symbol-matching cell, partner (r2, c, s2)
@@ -292,8 +282,6 @@ class ProcessState:
                 drows[c3][s2] |= 1 << r
                 w[r][c3] -= 1
                 roww[r] -= 1
-                made += 1
-        self.dangerous_available += made
 
     # -- candidate selection ------------------------------------------------
 

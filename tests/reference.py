@@ -41,7 +41,7 @@ from latinlab.rng import RandomStream
 
 
 def _filled_cells(obj):
-    if isinstance(obj, (LatinSquare, LatinRectangle)):
+    if isinstance(obj, LatinRectangle):
         obj = to_triples(obj)
     return obj.n, list(obj.triples)
 
@@ -52,14 +52,13 @@ def brute_validate(ts: TripleSystem) -> ValidityReport:
     seen_rc, seen_rs, seen_cs = set(), set(), set()
     for r, c, s in ts.triples:
         if not (0 <= r < n and 0 <= c < n and 0 <= s < n):
-            return ValidityReport(False, f"coordinate out of range in {(r, c, s)}",
-                                  (r, c, s))
+            return ValidityReport(False, f"coordinate out of range in {(r, c, s)}")
         if (r, c) in seen_rc:
-            return ValidityReport(False, f"cell ({r},{c}) holds two symbols", (r, c))
+            return ValidityReport(False, f"cell ({r},{c}) holds two symbols")
         if (r, s) in seen_rs:
-            return ValidityReport(False, f"row {r} repeats symbol {s}", (r, s))
+            return ValidityReport(False, f"row {r} repeats symbol {s}")
         if (c, s) in seen_cs:
-            return ValidityReport(False, f"column {c} repeats symbol {s}", (c, s))
+            return ValidityReport(False, f"column {c} repeats symbol {s}")
         seen_rc.add((r, c))
         seen_rs.add((r, s))
         seen_cs.add((c, s))
@@ -284,7 +283,7 @@ def brute_subsquares(square: LatinSquare, k: int) -> int:
 
 def brute_girth(obj, g_max: int = 8) -> int | None:
     """Girth by exhausting all small triple subsets."""
-    if isinstance(obj, (LatinSquare, LatinRectangle)):
+    if isinstance(obj, LatinRectangle):
         obj = to_triples(obj)
     n = obj.n
     tris = [frozenset((("r", r), ("c", c), ("s", s))) for r, c, s in obj.triples]
@@ -522,7 +521,7 @@ def restrict_rows(square: LatinSquare, k: int) -> LatinRectangle:
 def tripartite_of(ts) -> TripartiteGraph:
     """The graph G(Q): an edge per covered row/column, row/symbol,
     column/symbol pair.  Triples become triangles."""
-    if isinstance(ts, (LatinSquare, LatinRectangle)):
+    if isinstance(ts, LatinRectangle):
         ts = to_triples(ts)
     n = ts.n
     a12 = np.zeros((n, n), dtype=bool)

@@ -12,7 +12,7 @@ from latinlab.core import (
     group_table,
     parse_grid,
     parse_triples,
-    serialize_square,
+    serialize_grid,
     serialize_tripartite,
 )
 from latinlab.counting import count_intercalates, cuboctahedron_report
@@ -31,7 +31,7 @@ def run(capsys, *argv):
 @pytest.fixture()
 def xor_square(tmp_path):
     path = tmp_path / "xor2.txt"
-    path.write_text(serialize_square(group_table("elementary-abelian-2", 2)))
+    path.write_text(serialize_grid(group_table("elementary-abelian-2", 2)))
     return str(path)
 
 
@@ -105,7 +105,7 @@ def test_count_subsquares_still_needs_a_square(capsys, tmp_path):
 
 def test_count_girth_labels_capped_values(capsys, tmp_path):
     path = tmp_path / "free.txt"
-    path.write_text(serialize_square(group_table("cyclic", 5)))
+    path.write_text(serialize_grid(group_table("cyclic", 5)))
     code, out, _ = run(capsys, "count", "girth", "--max", "6", str(path))
     assert code == 0
     assert out.splitlines()[1].endswith(",girth,>6")

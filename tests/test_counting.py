@@ -392,9 +392,17 @@ def test_subsquare_order_out_of_range():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_subsquares_reject_rectangles(k):
-    rect = LatinRectangle(group_table("cyclic", 6).grid[:3])
-    with pytest.raises(TypeError, match="LatinRectangle"):
-        count_subsquares(rect, k)
+    # the k = n rectangle of a square counts as the square everywhere
+    # else, but is a different type: unequal, and no subsquare input
+    sq = sample_squares(6, 1, RandomStream(k))[0]
+    full = LatinRectangle(sq.grid)
+    for rect in (LatinRectangle(sq.grid[:3]), full):
+        with pytest.raises(TypeError, match="LatinRectangle"):
+            count_subsquares(rect, k)
+    assert full != sq and sq != full
+    for f in (count_intercalates, count_cuboctahedra_total,
+              cuboctahedron_report, girth, validate, to_triples):
+        assert f(full) == f(sq)
 
 
 def test_subsquares_reject_triple_systems():
