@@ -10,16 +10,10 @@ for the girth-6 process only and is left blank for girth 0.
 
 import argparse
 import csv
-import math
 import os
 import sys
 
-from latinlab.process import (
-    ProcessConfig,
-    log_density_target,
-    predicted_available,
-    run_process,
-)
+from latinlab.process import ProcessConfig, log_density_target, run_process
 from latinlab.rng import substream
 
 
@@ -31,15 +25,13 @@ def one_run(n: int, girth: int, seed: int, out_dir: str) -> dict:
         writer.writerow(["t", "available", "safe"])
         for t in range(res.steps):
             writer.writerow([t, res.available_trace[t], res.trace[t]])
-    model = sum(math.log(predicted_available(n, t, girth))
-                for t in range(res.steps)) / n**2
     return {
         "n": n,
         "girth": girth,
         "coverage": res.coverage,
         "stalled": res.stalled,
         "log_density": res.log_density(),
-        "model_same_steps": model,
+        "model_same_steps": res.model_log_density(),
         "target_full_run": log_density_target(n) if girth else "",
     }
 

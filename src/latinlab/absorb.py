@@ -634,7 +634,6 @@ class AbsorberDemoCase:
 @dataclass
 class AbsorberDemo:
     g: int
-    gadget_aux: int
     cases: list[AbsorberDemoCase]
 
     @property
@@ -699,5 +698,4 @@ def absorber_demo(g: int = 6) -> AbsorberDemo:
         gv = girth(TripleSystem(max(sizes), final), g_max=g)
         cases.append(
             AbsorberDemoCase(f"|L|={len(l_edges)}", len(final), cover_ok, gv))
-    aux = sum(gadget.parts) - len(gadget.roots)
-    return AbsorberDemo(g, aux, cases)
+    return AbsorberDemo(g, cases)

@@ -55,7 +55,12 @@ class ValidityReport:
 
 
 class LatinRectangle:
-    """k x n array whose rows are permutations and whose columns repeat no symbol."""
+    """k x n grid over symbols 0..n-1, meant to be Latin: rows are
+    permutations and columns repeat no symbol.
+
+    The constructor checks only the shape (2-d, k <= n) and the symbol
+    range; ``validate`` checks the Latin property, and ``parse_grid``
+    runs it on every grid it reads."""
 
     __slots__ = ("k", "n", "grid")
 

@@ -117,8 +117,9 @@ _LEAST_FOR = {("intercalate-mean", "samples"): 2,
 def make_spec(experiment: str, **overrides) -> ExperimentSpec:
     """Spec with per-experiment defaults; None overrides are ignored.
 
-    An override the experiment does not read, or an integer setting
-    below its least value (``_LEAST``), raises InputError."""
+    An override the experiment does not read, an integer setting below
+    its least value (``_LEAST``) or a negative checkpoint raises
+    InputError."""
     if experiment not in _DEFAULTS:
         raise InputError(f"unknown experiment {experiment!r}")
     params = dict(_DEFAULTS[experiment])
@@ -131,6 +132,8 @@ def make_spec(experiment: str, **overrides) -> ExperimentSpec:
         if least is not None and value < least:
             raise InputError(f"{experiment} needs {key} >= {least}, "
                              f"got {value}")
+    if any(t < 0 for t in given.get("checkpoints", ())):
+        raise InputError("checkpoints must be nonnegative")
     params.update(given)
     return ExperimentSpec(experiment=experiment, **params)
 
@@ -268,8 +271,7 @@ def _exp_highgirth_coverage(spec: ExperimentSpec):
     res = run_process(n, substream(spec.seed, 43), ProcessConfig(girth=g))
     rows = [(t, int(v)) for t, v in enumerate(res.trace)]
     measured = res.log_density()
-    model = sum(math.log(predicted_available(n, t, girth=g))
-                for t in range(res.steps)) / n**2
+    model = res.model_log_density()
     target = log_density_target(n)
     intercalates = count_intercalates(res.placed)
     checks = [

@@ -113,6 +113,12 @@ class ProcessResult:
         """(1/n^2) sum of log candidate counts over the run."""
         return float(np.log(self.trace.astype(float)).sum()) / self.n**2
 
+    def model_log_density(self) -> float:
+        """(1/n^2) sum of log predicted_available over the run's steps:
+        the model integrated over the same steps as log_density."""
+        return sum(math.log(predicted_available(self.n, t, self.girth))
+                   for t in range(self.steps)) / self.n**2
+
 
 def predicted_available(n: int, t: float, girth: int = 6) -> float:
     """Model trajectory A(t); girth < 6 drops the intercalate discount."""

@@ -1,32 +1,27 @@
 """End-to-end acceptance checks.
 
-Each test exercises one headline guarantee of the package and prints a
-single verdict line (run with ``pytest tests/test_acceptance.py -v -s``
-to see them).  Verdicts carry the observed numbers and the elapsed time
-so a red line is diagnosable from the output alone.
+The first test runs each of the nine experiments at its default spec,
+seed 0, exactly as ``latinlab experiment all`` does, and prints the
+experiment's own PASS/FAIL check lines (run with
+``pytest tests/test_acceptance.py -v -s`` to see them).  It requires the
+set of failing checks to equal the designed-red set written below:
+the unconstrained removal process measured against the discounted
+trajectory model it provably does not follow, and the boosted triangle
+family held to a per-edge band tighter than its binomial spread.  A
+check that turns red, or a designed-red check that turns green, fails
+the case.
 
-Two checks are expected to fail and are marked xfail(strict=True): the
-unconstrained removal process is compared against the discounted model
-it provably does not follow, and the boosted triangle family is held to
-a per-edge band that is tighter than its binomial spread.  Both reasons
-are spelled out on the markers; if either ever starts passing the strict
-marker turns the suite red so the claim gets re-examined.
+The remaining tests check what no experiment checks (group tables,
+counters against brute force, the girth-six equivalence, the extremal
+bracket, the weight functions) and print one verdict line each, with
+the observed numbers and the elapsed time.
 """
 
-import math
 import time
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from latinlab.absorb import (
-    cover_with_short_cycles,
-    gadget_search,
-    random_divisible_graph,
-    sphere_certificates_ok,
-    sphere_cover,
-)
 from latinlab.core import LatinSquare, group_table, to_triples
 from latinlab.counting import (
     _girth_search,
@@ -34,28 +29,21 @@ from latinlab.counting import (
     count_intercalates,
     cuboctahedron_report,
 )
+from latinlab.experiments import (
+    EXPERIMENTS,
+    check_lines,
+    make_spec,
+    run_experiment,
+)
 from latinlab.extremal import (
     max_intercalates_oracle,
     phi_exact,
     phi_lower_bound,
     phi_upper_bound,
 )
-from latinlab.fracdec import (
-    RegParams,
-    boost,
-    chi_uv,
-    conforming_instance,
-    psi_cycle,
-    psi_e,
-)
-from latinlab.process import (
-    ProcessConfig,
-    log_density_target,
-    predicted_available,
-    run_process,
-)
-from latinlab.rng import RandomStream, substream
-from latinlab.sampling import sample_rectangle, sample_squares
+from latinlab.fracdec import chi_uv, conforming_instance, psi_cycle, psi_e
+from latinlab.rng import substream
+from latinlab.sampling import sample_squares
 
 from reference import (
     all_squares,
@@ -63,6 +51,28 @@ from reference import (
     brute_report,
     graph_triangles,
 )
+
+# the checks that fail by design at the default specs: trp-trajectory's
+# checkpoints from t = 0.4 n^2 on, where the discounted model drifts
+# away from the unconstrained run, and the per-edge band of the boosted
+# family, which a Binomial(27, 1/4) count cannot keep on every edge
+DESIGNED_RED = {
+    "trp-trajectory": {f"available-ratio-t{t}"
+                       for t in (4000, 4800, 5600, 6400, 7200, 8000)},
+    "boost-convergence": {"selected-per-edge-band"},
+}
+
+
+@pytest.mark.parametrize("ident", sorted(EXPERIMENTS))
+def test_experiment_default_spec(ident, tmp_path):
+    t0 = time.perf_counter()
+    summary = run_experiment(make_spec(ident, out_dir=str(tmp_path)))
+    elapsed = time.perf_counter() - t0
+    lines, _ = check_lines(summary)
+    print("\n".join(lines) + f"\n{ident}: {elapsed:.1f}s")
+    failing = {c["name"] for c in summary["checks"] if not c["passed"]}
+    assert failing == DESIGNED_RED.get(ident, set())
+    assert elapsed < 60
 
 
 def _verdict(name: str, ok: bool, detail: str) -> bool:
@@ -133,95 +143,6 @@ def test_girth_six_threshold_matches_intercalate_freeness():
                     f"order 12), disagreements={bad}, {elapsed:.1f}s")
 
 
-def test_sampled_square_intercalate_mean():
-    t0 = time.perf_counter()
-    squares = sample_squares(20, 2000, RandomStream(305))
-    mean = float(np.mean([count_intercalates(sq) for sq in squares]))
-    elapsed = time.perf_counter() - t0
-    ok = 85.0 <= mean <= 115.0 and elapsed < 600
-    assert _verdict("square-intercalate-mean", ok,
-                    f"n=20, 2000 samples, mean={mean:.2f} "
-                    f"band=[85, 115] (target n^2/4 = 100), {elapsed:.1f}s")
-
-
-def test_rectangle_intercalates_near_poisson():
-    t0 = time.perf_counter()
-    counts = np.array([count_intercalates(sample_rectangle(3, 100, substream(306, i)))
-                       for i in range(5000)])
-    mean = float(counts.mean())
-    # total variation on {0..8}; the Poisson(1.5) mass beyond 8 is ~2e-6
-    emp = np.bincount(counts, minlength=9)[:9] / len(counts)
-    tvd = 0.5 * float(np.abs(emp - stats.poisson.pmf(np.arange(9), 1.5)).sum())
-    elapsed = time.perf_counter() - t0
-    ok = 1.35 <= mean <= 1.65 and tvd <= 0.05 and elapsed < 600
-    assert _verdict("rectangle-poisson", ok,
-                    f"3x100, 5000 samples, mean={mean:.3f} band=[1.35, 1.65], "
-                    f"tvd={tvd:.4f} (<= 0.05), {elapsed:.1f}s")
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "the unconstrained process tracks n^3 (1 - t/n^2)^3 with no intercalate "
-    "discount, so against the discounted model the ratio grows like "
-    "exp((t/n^2)^3) and reaches ~1.67 at t = 0.8 n^2; the +-5% band cannot "
-    "hold at the late checkpoints"))
-def test_unconstrained_process_vs_discounted_model():
-    t0 = time.perf_counter()
-    n = 100
-    res = run_process(n, RandomStream(307))
-    checkpoints = [round((i + 1) * 0.08 * n**2) for i in range(10)]
-    ratios = [res.available_trace[t] / predicted_available(n, t, girth=6)
-              for t in checkpoints if t < res.steps]
-    worst = max(abs(r - 1.0) for r in ratios)
-    elapsed = time.perf_counter() - t0
-    ok = len(ratios) == 10 and worst <= 0.05 and elapsed < 300
-    assert _verdict("unconstrained-trajectory", ok,
-                    f"n=100, available/model at 10 checkpoints, "
-                    f"ratios={[f'{r:.3f}' for r in ratios]}, "
-                    f"worst |ratio-1|={worst:.3f} (<= 0.05), {elapsed:.1f}s")
-
-
-def test_high_girth_process_coverage_and_log_density():
-    t0 = time.perf_counter()
-    n = 100
-    res = run_process(n, RandomStream(308), ProcessConfig(girth=6))
-    inter = count_intercalates(res.placed)
-    measured = res.log_density()
-    # the run stops short of n^2, so integrate the model over the same
-    # steps instead of the full range the closed-form target assumes
-    model = sum(math.log(predicted_available(n, t, girth=6))
-                for t in range(res.steps)) / n**2
-    target = log_density_target(n)
-    gap = abs(measured - model)
-    tol = 0.02 * target
-    elapsed = time.perf_counter() - t0
-    ok = (inter == 0 and res.coverage >= 0.9 and gap <= tol
-          and elapsed < 900)
-    assert _verdict("high-girth-trajectory", ok,
-                    f"n=100 g=6: intercalates={inter}, "
-                    f"coverage={res.coverage:.3f} (>= 0.9), log-density "
-                    f"measured={measured:.4f} model={model:.4f} "
-                    f"gap={gap:.4f} (tol {tol:.4f}, target {target:.4f}), "
-                    f"{elapsed:.1f}s")
-
-
-def test_sparse_system_nondegenerate_cuboctahedra_mean():
-    t0 = time.perf_counter()
-    n, alpha, trials = 150, 0.2, 500
-    from latinlab.counting import count_cuboctahedra_nondegenerate
-    from latinlab.process import collision_filter, sample_sparse_system
-    counts = [count_cuboctahedra_nondegenerate(
-                  collision_filter(sample_sparse_system(n, alpha, substream(309, i))))
-              for i in range(trials)]
-    mean = float(np.mean(counts))
-    target = math.exp(-24 * alpha) * alpha**8 * n**4
-    elapsed = time.perf_counter() - t0
-    ok = 0.8 * target <= mean <= 1.2 * target and elapsed < 600
-    assert _verdict("sparse-cuboctahedra-mean", ok,
-                    f"n=150 alpha=0.2, {trials} trials, mean={mean:.3f} "
-                    f"band=[{0.8 * target:.3f}, {1.2 * target:.3f}] "
-                    f"(target {target:.3f}), {elapsed:.1f}s")
-
-
 def test_max_intercalate_oracle_and_bounds():
     t0 = time.perf_counter()
     oracle = {m: max_intercalates_oracle(m) for m in range(9)}
@@ -247,18 +168,7 @@ def test_max_intercalate_oracle_and_bounds():
                     f"{elapsed:.1f}s")
 
 
-def _per_edge_counts(tset, chosen) -> np.ndarray:
-    sub = tset.tris[np.asarray(chosen, dtype=bool)]
-    n = tset.n
-    out = []
-    for ci, cj in ((0, 1), (1, 2), (2, 0)):
-        per = np.zeros((n, n), dtype=np.int64)
-        np.add.at(per, (sub[:, ci], sub[:, cj]), 1)
-        out.append(per.ravel())
-    return np.concatenate(out)
-
-
-def test_weight_functions_exact_and_boost_monotone():
+def test_weight_functions_exact():
     t0 = time.perf_counter()
     tset = conforming_instance(30)  # every edge in 27 triangles, q = 0.9
 
@@ -278,82 +188,9 @@ def test_weight_functions_exact_and_boost_monotone():
     pc_ok = (np.abs(pc.vertex).max() < 1e-9
              and max(abs(w - s) for w, s in zip(cyc, [1, -1, 1, -1, 1, -1])) < 1e-9)
 
-    res = boost(tset, RegParams(p=1.0, q=0.9), RandomStream(311))
-    discs = [t.max_disc for t in res.trace]
-    growth = max((discs[i + 1] - discs[i] for i in range(len(discs) - 1)),
-                 default=0.0)
-    boost_ok = (abs(res.beta - 4.0) < 1e-9 and discs[-1] <= 1e-9
-                and growth <= 1e-12)
-
     elapsed = time.perf_counter() - t0
-    ok = chi_ok and pe_ok and pc_ok and boost_ok and elapsed < 300
+    ok = chi_ok and pe_ok and pc_ok and elapsed < 300
     assert _verdict("weight-function-exactness", ok,
                     f"chi unit vertex weights ok={chi_ok}, psi_e zero vertex "
                     f"weights ok={pe_ok}, psi_cycle alternating edge signs "
-                    f"ok={pc_ok}; boost beta={res.beta:.9f} "
-                    f"final disc={discs[-1]:.2e} max growth={growth:.2e}, "
-                    f"{elapsed:.1f}s")
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "per-edge counts of the sampled family are Binomial(27, 1/4) around the "
-    "target 27/4, sd ~ 2.25, so at n = 30 a +-10% band around the mean "
-    "cannot hold for all 2700 edges; roughly one edge in six lands inside"))
-def test_boost_selected_family_per_edge_band():
-    t0 = time.perf_counter()
-    tset = conforming_instance(30)
-    res = boost(tset, RegParams(p=1.0, q=0.9), RandomStream(311))
-    per = _per_edge_counts(tset, res.chosen)
-    lo, hi = 0.9 * 0.9 * 30 / 4, 1.1 * 0.9 * 30 / 4
-    frac = float(np.mean((per >= lo) & (per <= hi)))
-    elapsed = time.perf_counter() - t0
-    ok = frac == 1.0 and elapsed < 300
-    assert _verdict("boost-per-edge-band", ok,
-                    f"n=30 q=0.9: per-edge triangle counts of the selected "
-                    f"family, band=[{lo:.3f}, {hi:.3f}] (target 6.75), "
-                    f"min={per.min()} max={per.max()} "
-                    f"fraction in band={frac:.3f}, {elapsed:.1f}s")
-
-
-def test_absorber_constructions():
-    t0 = time.perf_counter()
-    sphere_bad = [g for g in range(2, 11)
-                  if not (len(sphere_cover(g).out_dec) == 2 * g - 1
-                          and len(sphere_cover(g).in_dec) == 2 * g
-                          and sphere_certificates_ok(sphere_cover(g)))]
-    cover_bad = []
-    for seed in range(20):
-        g = random_divisible_graph((4, 4, 4), 6, substream(312, seed))
-        cover = cover_with_short_cycles(g, (4, 4, 4))
-        if not (cover.verified and all(len(c) <= 9 for c in cover.cycles)):
-            cover_bad.append(seed)
-    t_gadget = time.perf_counter()
-    gadget = gadget_search("C3")
-    gadget_elapsed = time.perf_counter() - t_gadget
-    gadget_ok = gadget.verify() and gadget_elapsed < 60
-    elapsed = time.perf_counter() - t0
-    ok = not sphere_bad and not cover_bad and gadget_ok
-    assert _verdict("absorber-constructions", ok,
-                    f"sphere covers g=2..10 sizes 2g-1/2g certified "
-                    f"(bad={sphere_bad}); 20 random divisible graphs covered "
-                    f"by tripartite cycles of length <= 9 (bad={cover_bad}); "
-                    f"C3 gadget verified in {gadget_elapsed:.1f}s (< 60s); "
-                    f"{elapsed:.1f}s")
-
-
-def test_cuboctahedra_density_trend():
-    t0 = time.perf_counter()
-    ratios = {}
-    for n in (8, 16, 24, 32):
-        squares = sample_squares(n, 200, substream(313, n))
-        ratios[n] = float(np.mean([count_cuboctahedra_total(sq)
-                                   for sq in squares])) / n**4
-    in_band = all(3.0 <= r <= 6.0 for r in ratios.values())
-    closer = abs(ratios[32] - 4.0) < abs(ratios[8] - 4.0)
-    elapsed = time.perf_counter() - t0
-    ok = in_band and closer and elapsed < 1800
-    assert _verdict("cuboctahedra-density-trend", ok,
-                    f"200 samples each, total/n^4 = "
-                    f"{ {n: round(r, 3) for n, r in ratios.items()} }, "
-                    f"band=[3, 6], |r(32)-4| < |r(8)-4|: {closer}, "
-                    f"{elapsed:.1f}s")
+                    f"ok={pc_ok}, {elapsed:.1f}s")

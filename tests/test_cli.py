@@ -8,6 +8,7 @@ import pytest
 
 from latinlab.cli import build_parser, main
 from latinlab.core import (
+    InputError,
     TripartiteGraph,
     group_table,
     parse_grid,
@@ -16,7 +17,7 @@ from latinlab.core import (
     serialize_tripartite,
 )
 from latinlab.counting import count_intercalates, cuboctahedron_report
-from latinlab.experiments import _DEFAULTS
+from latinlab.experiments import _DEFAULTS, make_spec
 from latinlab.fracdec import complete_host, conforming_instance
 
 from reference import all_triangles
@@ -352,6 +353,13 @@ def test_experiment_rejects_overrides_it_does_not_read(capsys, tmp_path,
     assert code == 2
     assert f"does not take {unread}" in err
     assert not os.listdir(tmp_path)
+
+
+def test_make_spec_rejects_negative_checkpoints():
+    with pytest.raises(InputError, match="checkpoints must be nonnegative"):
+        make_spec("trp-trajectory", n=10, checkpoints=(-3, 5))
+    assert make_spec("trp-trajectory", n=10,
+                     checkpoints=(0, 5)).checkpoints == (0, 5)
 
 
 @pytest.mark.parametrize("flag", ["--p", "--q"])
