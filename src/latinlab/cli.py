@@ -14,7 +14,6 @@ Usage sketch:
     latinlab absorb spheres --g 6 --out run
     latinlab absorb path-cover --sizes 4,4,4 --cycles 6 --seed 3
     latinlab absorb gadget --h C3
-    latinlab absorb demo --g 6
     latinlab experiment intercalate-mean --n 20 --samples 2000 --out results
     latinlab experiment all --skip trp-trajectory boost-convergence --out results
     latinlab report results
@@ -43,7 +42,6 @@ import sys
 import traceback
 
 from .absorb import (
-    absorber_demo,
     cover_with_short_cycles,
     gadget_search,
     graph_edges,
@@ -371,31 +369,21 @@ def _cmd_absorb(args) -> int:
                    args.out)
         return 0 if cover.verified else 1
 
-    if args.what == "gadget":
-        gadget = (reference_c3_gadget() if args.reference
-                  else gadget_search(args.h, aux_budget=args.aux_budget))
-        payload = {
-            "h": gadget.h_name,
-            "parts": list(gadget.parts),
-            "roots": [[p, i] for p, i in gadget.roots],
-            "h_edges": [list(e) for e in gadget.h_edges],
-            "gadget_edges": [list(e) for e in gadget.gadget_edges],
-            "dec_gadget": [list(t) for t in gadget.dec_gadget],
-            "dec_joint": [list(t) for t in gadget.dec_joint],
-            "verified": gadget.verify(),
-        }
-        _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                   args.out)
-        return 0
-
-    demo = absorber_demo(args.g)
-    for case in demo.cases:
-        found = case.girth_found
-        print(f"{case.label}: blocks={case.blocks} "
-              f"cover={'ok' if case.cover_ok else 'FAIL'} "
-              f"girth={'>' + str(demo.g) if found is None else found}")
-    print(f"ok={int(demo.ok)}")
-    return 0 if demo.ok else 1
+    gadget = (reference_c3_gadget() if args.reference
+              else gadget_search(args.h, aux_budget=args.aux_budget))
+    payload = {
+        "h": gadget.h_name,
+        "parts": list(gadget.parts),
+        "roots": [[p, i] for p, i in gadget.roots],
+        "h_edges": [list(e) for e in gadget.h_edges],
+        "gadget_edges": [list(e) for e in gadget.gadget_edges],
+        "dec_gadget": [list(t) for t in gadget.dec_gadget],
+        "dec_joint": [list(t) for t in gadget.dec_joint],
+        "verified": gadget.verify(),
+    }
+    _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+               args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="emit the hand-built A(C3) instead")
     p_gadget.add_argument("--out")
     p_gadget.set_defaults(fn=_cmd_absorb)
-    p_demo = p_ab_sub.add_parser("demo")
-    p_demo.add_argument("--g", type=int, default=6)
-    p_demo.set_defaults(fn=_cmd_absorb)
 
     p_exp = sub.add_parser("experiment",
                            help="run one named experiment, or all of them")

@@ -173,11 +173,10 @@ def conforming_instance(n: int, layers: int = 3) -> TriangleSet:
 class WeightFunction:
     """Triangle weights with cached vertex weights, edge weights, and
     total.  The caches are derived once from ``values``, which is kept
-    as a contiguous float64 array; ``verify`` recomputes them from
-    scratch.  The total is ``math.fsum`` over that float64 buffer, the
-    correctly rounded sum (it raises as ``math.fsum`` does on inf - inf
-    and on overflow); discrepancies are differences of dense per-edge
-    sums."""
+    as a contiguous float64 array.  The total is ``math.fsum`` over that
+    buffer, the correctly rounded sum (it raises as ``math.fsum`` does
+    on inf - inf and on overflow); discrepancies are differences of
+    dense per-edge sums."""
 
     __slots__ = ("tset", "values", "vertex", "edge", "total")
 
@@ -220,52 +219,6 @@ class WeightFunction:
 
     def is_vertex_balanced(self, rel: float = 1e-9) -> bool:
         return self.vertex_residual() <= rel * self.scale()
-
-    def verify(self, rel: float = 1e-9) -> None:
-        """Caches must equal a from-scratch recomputation; raises
-        AssertionError naming the first cache that does not, also under
-        ``python -O``."""
-        tol = rel * max(np.abs(self.values).max(), 1.0) * max(len(self.tset), 1)
-        fresh = WeightFunction(self.tset, self.values.copy())
-        gaps = [("total", abs(fresh.total - self.total)),
-                ("vertex", np.abs(fresh.vertex - self.vertex).max())]
-        gaps += [(f"edge {KIND_NAMES[k]}",
-                  np.abs(fresh.edge[k] - self.edge[k]).max())
-                 for k in range(3)]
-        for name, gap in gaps:
-            if not gap <= tol:  # a NaN gap fails too
-                raise AssertionError(
-                    f"{name} cache off by {float(gap)} > {tol}")
-
-
-def _check_indices(tset: TriangleSet, name: str, k, *vertices) -> None:
-    """Reject a kind or part outside 0..2 and a vertex outside range(n),
-    which numpy indexing would wrap or turn into an IndexError."""
-    if k not in (0, 1, 2):
-        raise ValueError(f"{name} must be 0, 1 or 2, got {k}")
-    for v in vertices:
-        if not 0 <= v < tset.n:
-            raise ValueError(f"vertex {v} out of range")
-
-
-def chi_uv(tset: TriangleSet, part: int, u: int, v: int) -> WeightFunction:
-    """chi_{u,v}: average of the two triangle stars of each K_{2,1,1}
-    through same-part vertices u, v.  Vertex weights are +1 at u, -1 at
-    v, zero elsewhere.  Raises InputError when no K_{2,1,1} passes
-    through u and v."""
-    _check_indices(tset, "part", part, u, v)
-    if u == v:
-        raise ValueError("need two distinct vertices")
-    grid_u = tset.id3 if part == 0 else np.moveaxis(tset.id3, part, 0)
-    pu, pv = grid_u[u], grid_u[v]
-    both = (pu >= 0) & (pv >= 0)
-    m = int(both.sum())
-    if m == 0:
-        raise InputError("no K_{2,1,1} copies through the pair")
-    out = np.zeros(len(tset))
-    out[pu[both]] += 1.0 / m
-    out[pv[both]] -= 1.0 / m
-    return WeightFunction(tset, out)
 
 
 def part_imbalance(tset: TriangleSet, part: int) -> np.ndarray:
@@ -328,37 +281,6 @@ def phi0(tset: TriangleSet) -> WeightFunction:
 # psi gadgets
 
 
-def psi_cycle(tset: TriangleSet, kind: int, e: tuple[int, int],
-              tail: tuple[int, int, int, int]) -> WeightFunction:
-    """psi_{J,e} for the single 6-cycle J given by e = (a1, b1) and the
-    path tail (a2, b2, a3, b3).  Weight (-1)^{d_J(f, e)} / |W| on the
-    triangles of each cycle edge f, where W is the common apex set."""
-    a1, b1 = e
-    a2, b2, a3, b3 = tail
-    _check_indices(tset, "kind", kind, a1, b1, a2, b2, a3, b3)
-    if len({a1, a2, a3}) < 3 or len({b1, b2, b3}) < 3:
-        raise ValueError("cycle vertices must be distinct per part")
-    am = tset.apex_masks[kind]
-    ids = tset.id3.transpose(KIND_COLS[kind])  # axes (i, j, apex)
-    # the sign is (-1)^{distance to e} around a1 - b1 - a2 - b2 - a3 - b3
-    edges = [(a1, b1, 1.0), (a2, b1, -1.0), (a2, b2, 1.0),
-             (a3, b2, -1.0), (a3, b3, 1.0), (a1, b3, -1.0)]
-    adjk = tset.adj(kind)
-    w_mask = np.uint64(~np.uint64(0))
-    for x, y, _ in edges:
-        if not adjk[x, y]:
-            raise ValueError("cycle edge missing from host")
-        w_mask &= am[x, y]
-    ws = [w for w in range(tset.n) if int(w_mask) >> w & 1]
-    if not ws:
-        raise ValueError("cycle has no common apex in the triangle set")
-    out = np.zeros(len(tset))
-    for x, y, sg in edges:
-        for w in ws:
-            out[ids[x, y, w]] += sg / len(ws)
-    return WeightFunction(tset, out)
-
-
 def _accumulate_psi(tset: TriangleSet, kind: int,
                     ii: np.ndarray, jj: np.ndarray, coefs: np.ndarray,
                     out: np.ndarray):
@@ -416,7 +338,12 @@ def psi_e(tset: TriangleSet, kind: int, i: int, j: int) -> WeightFunction:
     """psi_e: the average of psi_{J,e} over 6-cycles J through the
     kind-k edge (i, j).  Zero vertex weights exactly, and edge weight 1
     at e itself."""
-    _check_indices(tset, "kind", kind, i, j)
+    if kind not in (0, 1, 2):
+        raise ValueError(f"kind must be 0, 1 or 2, got {kind}")
+    # numpy indexing would wrap -1 and raise a bare IndexError at n
+    for v in (i, j):
+        if not 0 <= v < tset.n:
+            raise ValueError(f"vertex {v} out of range")
     if not tset.adj(kind)[i, j]:
         raise ValueError("edge not in host")
     out = np.zeros(len(tset))

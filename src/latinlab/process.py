@@ -192,9 +192,6 @@ class ProcessState:
             and not ((self.row_syms[r] | self.col_syms[c]) >> s) & 1
         )
 
-    def is_safe(self, r: int, c: int, s: int) -> bool:
-        return not (self.dsyms[r][c] >> s) & 1
-
     @property
     def safe_count(self) -> int:
         return sum(self.roww)

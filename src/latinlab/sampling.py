@@ -82,17 +82,10 @@ class SamplerConfig:
     (n = 9 and 21, whose cyclic squares have N = 0), and the mean over
     16-32 chains of the total, which starts 4-8 times too high, within
     0.06-0.1 n^2 (n = 16, 32).  Burn-in is 1 n^2, eight times longer.
-
-    ``rectangle_budget`` is in candidates per rectangle asked for, a
-    candidate being a tuple of k - 1 derangements of row 0 (the redraws
-    that make a row a derangement are not counted): a
-    ``sample_rectangles`` call of ``count`` rectangles raises
-    RuntimeError after ``count * rectangle_budget`` candidates.
     """
 
     burn_in_factor: float = 1.0
     thin_factor: float = 0.25
-    rectangle_budget: int = 1_000_000
 
     def __post_init__(self):
         if not (self.burn_in_factor >= 0 and self.thin_factor > 0):
@@ -285,6 +278,8 @@ def autocorrelation_time(chains) -> float:
 
 # candidate entries (batch rows x n) drawn at once, which keeps memory flat
 _BATCH_ENTRIES = 1 << 16
+# candidates drawn per rectangle asked for before sample_rectangles gives up
+RECTANGLE_BUDGET = 1_000_000
 
 
 def _derangements(gen: np.random.Generator, ident: np.ndarray,
@@ -301,16 +296,18 @@ def _derangements(gen: np.random.Generator, ident: np.ndarray,
 
 
 def sample_rectangles(
-    k: int,
-    n: int,
-    count: int,
-    rng: RandomStream,
-    config: SamplerConfig | None = None,
+    k: int, n: int, count: int, rng: RandomStream
 ) -> list[LatinRectangle]:
     """``count`` independent uniform k x n Latin rectangles, drawn by
-    staged rejection in batches (see the module docstring).  Raises
-    RuntimeError when ``config.rectangle_budget`` runs out."""
-    cfg = config or SamplerConfig()
+    staged rejection in batches (see the module docstring).
+
+    The budget is ``RECTANGLE_BUDGET`` candidates per rectangle asked
+    for, a candidate being a tuple of k - 1 derangements of row 0 (the
+    redraws that make a row a derangement are not counted): a call for
+    ``count`` rectangles raises InputError after ``count *
+    RECTANGLE_BUDGET`` candidates.  At acceptance about
+    exp(-(k-1)(k-2)/2) that leaves k = 7, at about 3 * 10^6 candidates
+    a rectangle, out of reach."""
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n, got k={k} n={n}")
     if count < 0:
@@ -320,15 +317,15 @@ def sample_rectangles(
     cap = max(1, _BATCH_ENTRIES // n)
     # acceptance sizes the batch only; below 1/cap every batch is capped
     accept = max(math.exp(-(k - 1) * (k - 2) / 2), 1 / cap)
-    budget = count * cfg.rectangle_budget
+    budget = count * RECTANGLE_BUDGET
     out: list[LatinRectangle] = []
     while len(out) < count:
         need = count - len(out)
         b = min(cap, budget, math.ceil(need / accept))
         if b == 0:
-            raise RuntimeError(
-                f"no {count} Latin rectangles in {count * cfg.rectangle_budget}"
-                f" candidates at k={k}, n={n}")
+            raise InputError(
+                f"no {count} Latin rectangles at k={k}, n={n} within the "
+                f"budget of {RECTANGLE_BUDGET} candidates per rectangle")
         budget -= b
         rows = np.broadcast_to(ident, (b, 1, n))
         for _ in range(1, k):
@@ -343,11 +340,6 @@ def sample_rectangles(
     return out
 
 
-def sample_rectangle(
-    k: int,
-    n: int,
-    rng: RandomStream,
-    config: SamplerConfig | None = None,
-) -> LatinRectangle:
+def sample_rectangle(k: int, n: int, rng: RandomStream) -> LatinRectangle:
     """One uniform k x n Latin rectangle."""
-    return sample_rectangles(k, n, 1, rng, config)[0]
+    return sample_rectangles(k, n, 1, rng)[0]

@@ -5,8 +5,8 @@ materialized explicitly and pairs are compared with dense boolean
 matrices, so results are easy to audit and serve as oracles for the
 fast per-class counters in the package, for the incremental
 bookkeeping of the removal process, for the Jacobson-Matthews move
-kernel and for the boosting layer's indexes, weight sums and condition
-checks.
+kernel and for the boosting layer's indexes, weight sums, gadgets and
+condition checks.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from latinlab.core import (
+    InputError,
     LatinRectangle,
     LatinSquare,
     TripartiteGraph,
@@ -33,6 +34,7 @@ from latinlab.fracdec import (
     ConditionReport,
     TriangleSet,
     Violation,
+    WeightFunction,
     _sample_sets,
     complete_host,
     part_imbalance,
@@ -696,35 +698,66 @@ def brute_weight_sums(tset: TriangleSet, values) -> dict:
     return {"vertex": vertex, "edge": edge, "total": math.fsum(values)}
 
 
+def brute_chi_uv(tset: TriangleSet, part: int, u: int,
+                 v: int) -> WeightFunction:
+    """chi_{u,v}: average of the two triangle stars of each K_{2,1,1}
+    through same-part vertices u != v.  Vertex weights are +1 at u, -1
+    at v, zero elsewhere.  Raises InputError when no K_{2,1,1} passes
+    through u and v."""
+    grid_u = np.moveaxis(tset.id3, part, 0)
+    pu, pv = grid_u[u], grid_u[v]
+    both = (pu >= 0) & (pv >= 0)
+    m = int(both.sum())
+    if m == 0:
+        raise InputError("no K_{2,1,1} copies through the pair")
+    out = np.zeros(len(tset))
+    out[pu[both]] += 1.0 / m
+    out[pv[both]] -= 1.0 / m
+    return WeightFunction(tset, out)
+
+
 def brute_chi_part(tset: TriangleSet, part: int) -> np.ndarray:
     """chi_{V^j} = -(1/2n) sum_{u != v} (f_u - f_v) chi_{u,v}, one
-    ordered pair at a time; chi_{u,v} puts +1/m on each triangle through
-    u whose copy through v (the part-j vertex swapped) is present, -1/m
-    on that copy, for the m such pairs."""
+    ordered pair at a time; a pair with f_u = f_v adds nothing and is
+    skipped, so it needs no K_{2,1,1}."""
     n = tset.n
     f = part_imbalance(tset, part)
-    index = {tri: i for i, tri in enumerate(map(tuple, tset.tris.tolist()))}
-
-    def swapped(tri, v):
-        return tri[:part] + (v,) + tri[part + 1:]
-
     out = np.zeros(len(tset))
-    for u in range(n):
-        through_u = [t for t in index if t[part] == u]
-        for v in range(n):
-            if u == v:
-                continue
+    for u, v in itertools.permutations(range(n), 2):
+        if f[u] != f[v]:
             coef = -(f[u] - f[v]) / (2.0 * n)
-            if coef == 0.0:
-                continue
-            pairs = [(index[t], index[swapped(t, v)]) for t in through_u
-                     if swapped(t, v) in index]
-            if not pairs:
-                raise ValueError("no K_{2,1,1} copies through the pair")
-            for iu, iv in pairs:
-                out[iu] += coef / len(pairs)
-                out[iv] -= coef / len(pairs)
+            out += coef * brute_chi_uv(tset, part, u, v).values
     return out
+
+
+def brute_psi_cycle(tset: TriangleSet, kind: int, e: tuple[int, int],
+                    tail: tuple[int, int, int, int]) -> WeightFunction:
+    """psi_{J,e} for the single 6-cycle J given by e = (a1, b1) and the
+    path tail (a2, b2, a3, b3), a1, a2, a3 distinct and b1, b2, b3
+    distinct.  Weight (-1)^{d_J(f, e)} / |W| on the triangles of each
+    cycle edge f, where W is the common apex set.  Raises ValueError
+    when a cycle edge is missing from the host or W is empty."""
+    a1, b1 = e
+    a2, b2, a3, b3 = tail
+    am = tset.apex_masks[kind]
+    ids = tset.id3.transpose(KIND_COLS[kind])  # axes (i, j, apex)
+    # the sign is (-1)^{distance to e} around a1 - b1 - a2 - b2 - a3 - b3
+    edges = [(a1, b1, 1.0), (a2, b1, -1.0), (a2, b2, 1.0),
+             (a3, b2, -1.0), (a3, b3, 1.0), (a1, b3, -1.0)]
+    adjk = tset.adj(kind)
+    w_mask = np.uint64(~np.uint64(0))
+    for x, y, _ in edges:
+        if not adjk[x, y]:
+            raise ValueError("cycle edge missing from host")
+        w_mask &= am[x, y]
+    ws = [w for w in range(tset.n) if int(w_mask) >> w & 1]
+    if not ws:
+        raise ValueError("cycle has no common apex in the triangle set")
+    out = np.zeros(len(tset))
+    for x, y, sg in edges:
+        for w in ws:
+            out[ids[x, y, w]] += sg / len(ws)
+    return WeightFunction(tset, out)
 
 
 def brute_conditions(tset: TriangleSet, params, rng: RandomStream):

@@ -173,6 +173,19 @@ def test_sample_rectangle_rejects_burnin(capsys):
     assert "--burnin" in err
 
 
+def test_sample_rectangle_budget_is_an_input_error(capsys, monkeypatch):
+    # k = 7 runs through the full budget in about a second; a small one
+    # gives the same exit at once
+    monkeypatch.setattr("latinlab.sampling.RECTANGLE_BUDGET", 100)
+    code, out, err = run(capsys, "sample", "rectangle", "--n", "7", "--k",
+                         "7")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no 1 Latin rectangles at k=7")
+    assert "budget of 100 candidates" in err
+    assert "Traceback" not in err
+
+
 def test_process_run_trajectory_and_final(capsys, tmp_path):
     final = tmp_path / "final.txt"
     code, out, _ = run(capsys, "process", "run", "--n", "10", "--g", "6",
@@ -264,12 +277,6 @@ def test_absorb_gadget_reference(capsys):
     payload = json.loads(out)
     assert payload["verified"] is True
     assert payload["parts"] == [2, 2, 2]
-
-
-def test_absorb_demo_exit_zero(capsys):
-    code, out, _ = run(capsys, "absorb", "demo", "--g", "6")
-    assert code == 0
-    assert "ok=1" in out
 
 
 def test_experiment_unknown_id_exits_two(capsys, tmp_path):

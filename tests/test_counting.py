@@ -57,15 +57,16 @@ from reference import (
 
 def test_xor_table_intercalates_closed_form():
     # (2^k)^2 (2^k - 1) / 4, every pair of rows and columns aligned
-    for k, expect in ((1, 1), (2, 12)):
+    for k, expect in ((1, 1), (2, 12), (3, 112)):
         sq = group_table("elementary-abelian-2", k)
         assert count_intercalates(sq) == expect
 
 
 def test_cyclic_table_total_is_n_fifth():
-    for n in (1, 2, 3, 4):
-        sq = group_table("cyclic", n)
-        assert count_cuboctahedra_total(sq) == n**5
+    # every group table attains n^5; the Klein table is not cyclic
+    tables = [group_table("cyclic", n) for n in (1, 2, 3, 4, 5)]
+    for sq in tables + [group_table("elementary-abelian-2", 2)]:
+        assert count_cuboctahedra_total(sq) == sq.n**5
 
 
 @settings(max_examples=20, deadline=None)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from latinlab import sampling
 from latinlab.core import InputError, LatinSquare, group_table, validate
 from latinlab.counting import count_intercalates
 from latinlab.rng import RandomStream, substream
@@ -135,12 +136,12 @@ def test_rectangle_sampler_determinism():
     assert batch != sample_rectangles(4, 9, 40, RandomStream(6))
 
 
-def test_rectangle_budget_counts_candidate_tuples():
+def test_rectangle_budget_counts_candidate_tuples(monkeypatch):
     # 1128960 of the 265^5 normalized 6 x 6 candidates (rows 1..5
     # derangements of row 0) are Latin
-    with pytest.raises(RuntimeError):
-        sample_rectangles(6, 6, 2, RandomStream(7),
-                          SamplerConfig(rectangle_budget=1000))
+    monkeypatch.setattr(sampling, "RECTANGLE_BUDGET", 1000)
+    with pytest.raises(InputError, match="budget of 1000 candidates"):
+        sample_rectangles(6, 6, 2, RandomStream(7))
 
 
 @pytest.mark.parametrize("k, n, size", [(2, 4, 216), (3, 4, 576),
