@@ -19,11 +19,13 @@ Usage sketch:
     latinlab report results
 
 Counting verbs emit CSV rows ``input,metric,value`` to stdout
-(``--format json`` switches to a JSON array).  File inputs use the core
-text formats: grids with an ``n`` or ``k n`` header (``.`` for empty
-cells), triple lists with an ``n`` header, tripartite graphs as JSON.
-A file whose grid and triple readings both make sense (order 3 with
-exactly 3 rows) is read as a grid.
+(``--format json`` switches to a JSON array); ``process run`` emits
+``t,available,safe,chosen`` rows and a summary line on stderr.  File
+inputs use the core text formats: grids with an ``n`` or ``k n`` header
+(``.`` for empty cells), one or several back to back as ``sample
+--count`` writes them, triple lists with an ``n`` header, tripartite
+graphs as JSON.  A file whose grid and triple readings both make sense
+(order 3 with exactly 3 rows) is read as a grid.
 
 Exit status: 0 when the verb succeeded and every reported check passed,
 1 when a report or experiment row failed or on an internal error
@@ -34,9 +36,6 @@ Exit status: 0 when the verb succeeded and every reported check passed,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 import traceback
@@ -54,11 +53,15 @@ from .absorb import (
 from .core import (
     InputError,
     LatinSquare,
-    parse_grid,
+    parse_grids,
     parse_tripartite,
+    parse_triple_rows,
     parse_triples,
+    serialize_csv,
     serialize_grid,
+    serialize_json,
     serialize_tripartite,
+    serialize_triple_rows,
     serialize_triples,
 )
 from .counting import (
@@ -76,7 +79,7 @@ from .experiments import (
 )
 from .extremal import phi_report
 from .fracdec import RegParams, TriangleSet, boost
-from .process import ProcessConfig, run_process
+from .process import ProcessConfig, log_density_target, run_process
 from .rng import RandomStream
 from .sampling import SamplerConfig, sample_rectangles, sample_squares
 
@@ -97,78 +100,26 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _split_grids(text: str) -> list[str]:
-    """Cut a concatenation of grids at the header lines."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    chunks = []
-    i = 0
-    while i < len(lines):
-        header = lines[i].split()
-        k = int(header[0]) if header[0].isdecimal() else 0
-        if not 1 <= len(header) <= 2 or k < 1:
-            raise InputError(f"bad grid header {lines[i]!r}")
-        if i + 1 + k > len(lines):
-            raise InputError("truncated grid")
-        chunks.append("\n".join(lines[i:i + 1 + k]) + "\n")
-        i += 1 + k
-    if not chunks:
-        raise InputError("empty input")
-    return chunks
-
-
 def _load_objects(path: str) -> list[tuple[str, object]]:
-    """Sniff the text formats: one grid, one triple list, or a
-    concatenation of grids.  Grids win the (rare) ambiguous case."""
+    """The grids of a file, or its triple list.  Grids win the (rare)
+    ambiguous case, and the grid error is the one reported."""
     text = _read(path)
     try:
-        return [(path, parse_grid(text))]
+        grids = parse_grids(text)
     except InputError as grid_err:
-        first_err = grid_err
-    try:
-        return [(path, parse_triples(text))]
-    except InputError:
-        pass
-    try:
-        objs = [parse_grid(chunk) for chunk in _split_grids(text)]
-    except InputError:
-        raise InputError(f"{path}: {first_err}") from first_err
-    return [(f"{path}#{i}", obj) for i, obj in enumerate(objs)]
+        try:
+            return [(path, parse_triples(text))]
+        except InputError:
+            raise InputError(f"{path}: {grid_err}") from grid_err
+    if len(grids) == 1:
+        return [(path, grids[0])]
+    return [(f"{path}#{i}", obj) for i, obj in enumerate(grids)]
 
 
 def _as_square(label: str, obj) -> LatinSquare:
     if not isinstance(obj, LatinSquare):
         raise InputError(f"{label}: need a complete Latin square")
     return obj
-
-
-def _load_triangle_list(path: str, n: int) -> list[tuple[int, int, int]]:
-    """Triangle list in the triple-list format, unchecked beyond range."""
-    lines = [ln for ln in (s.strip() for s in _read(path).splitlines()) if ln]
-    if not lines:
-        raise InputError(f"{path}: empty triangle list")
-    try:
-        header = int(lines[0])
-        rows = [tuple(int(t) for t in ln.split()) for ln in lines[1:]]
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    if header != n:
-        raise InputError(f"{path}: header {header} does not match host order {n}")
-    if any(len(r) != 3 for r in rows):
-        raise InputError(f"{path}: triangles need exactly three vertices")
-    return rows
-
-
-def _emit_rows(rows: list[tuple[str, str, object]], fmt: str,
-               out: str | None) -> None:
-    if fmt == "json":
-        payload = [{"input": i, "metric": m, "value": v} for i, m, v in rows]
-        _write_out(json.dumps(payload, indent=2) + "\n", out)
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["input", "metric", "value"])
-    writer.writerows(rows)
-    _write_out(buf.getvalue(), out)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +150,12 @@ def _cmd_count(args) -> int:
                 g = girth(obj, g_max=args.max)
                 rows.append((label, "girth",
                              g if g is not None else f">{args.max}"))
-    _emit_rows(rows, args.format, args.out)
+    header = ["input", "metric", "value"]
+    if args.format == "json":
+        text = serialize_json([dict(zip(header, row)) for row in rows])
+    else:
+        text = serialize_csv(header, rows)
+    _write_out(text, args.out)
     return 0
 
 
@@ -244,17 +200,19 @@ def _cmd_process(args) -> int:
     cfg = ProcessConfig(girth=args.g, max_steps=args.m)
     res = run_process(args.n, RandomStream(args.seed), cfg)
     points = _parse_checkpoints(args.checkpoints) or range(res.steps)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["t", "available", "chosen"])
-    for t in points:
-        if t >= res.steps:
-            continue
-        r, c, s = res.order[t]
-        writer.writerow([t, int(res.available_trace[t]), f"{r} {c} {s}"])
+    rows = [(t, int(res.available_trace[t]), int(res.trace[t]),
+             "{} {} {}".format(*res.order[t]))
+            for t in points if t < res.steps]
+    sys.stdout.write(serialize_csv(["t", "available", "safe", "chosen"], rows))
     if args.out:
         _write_out(serialize_triples(res.placed), args.out)
-    print(f"# steps={res.steps} coverage={res.coverage:.4f} "
-          f"stalled={int(res.stalled)}", file=sys.stderr)
+    summary = (f"# steps={res.steps} coverage={res.coverage:.4f} "
+               f"stalled={int(res.stalled)} "
+               f"log_density={res.log_density():.4f} "
+               f"model={res.model_log_density():.4f}")
+    if res.girth == 6:
+        summary += f" target={log_density_target(res.n):.4f}"
+    print(summary, file=sys.stderr)
     return 0
 
 
@@ -276,7 +234,7 @@ def _cmd_phi(args) -> int:
         "exact": rec.exact,
         "witness_file": witness_path,
     }
-    _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _write_out(serialize_json(payload), args.out)
     return 0
 
 
@@ -286,7 +244,10 @@ def _cmd_phi(args) -> int:
 
 def _cmd_boost(args) -> int:
     host = parse_tripartite(_read(args.graph))
-    triangles = _load_triangle_list(args.triangles, host.parts[0])
+    n, triangles = parse_triple_rows(_read(args.triangles))
+    if n != host.parts[0]:
+        raise InputError(f"{args.triangles}: header {n} does not match "
+                         f"host order {host.parts[0]}")
     try:
         tset = TriangleSet(host, triangles)
     except ValueError as exc:
@@ -299,17 +260,13 @@ def _cmd_boost(args) -> int:
                   for i, w in enumerate(res.phi_star)]
     _write_out("\n".join(star_lines) + "\n",
                os.path.join(args.out, "boost_phi_star.txt"))
-    selected = tset.tris[res.chosen]
-    sel = [f"{v1} {v2} {v3}" for v1, v2, v3 in selected]
-    _write_out("\n".join([str(tset.n)] + sel) + "\n",
+    selected = tset.tris[res.chosen].tolist()
+    _write_out(serialize_triple_rows(tset.n, selected),
                os.path.join(args.out, "boost_selected.txt"))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["iter", "max_disc", "vertex_residual"])
-    for row in res.trace:
-        writer.writerow([row.iteration, format(row.max_disc, ".12g"),
-                         format(row.vertex_residual, ".12g")])
-    _write_out(buf.getvalue(), os.path.join(args.out, "boost_trace.csv"))
+    _write_out(serialize_csv(["iter", "max_disc", "vertex_residual"],
+                             [(row.iteration, row.max_disc,
+                               row.vertex_residual) for row in res.trace]),
+               os.path.join(args.out, "boost_trace.csv"))
     print(f"beta={format(res.beta, '.12g')} "
           f"final_max_disc={format(res.trace[-1].max_disc, '.12g')} "
           f"selected={len(selected)}")
@@ -340,10 +297,8 @@ def _cmd_absorb(args) -> int:
                    os.path.join(args.out, f"sphere_g{args.g}_q.json"))
         _write_out(serialize_tripartite(qt) + "\n",
                    os.path.join(args.out, f"sphere_g{args.g}_qt.json"))
-        n = max(q.parts)
         for name, dec in (("out", out_dec), ("in", in_dec)):
-            lines = [str(n)] + [f"{a} {b} {c}" for a, b, c in dec]
-            _write_out("\n".join(lines) + "\n",
+            _write_out(serialize_triple_rows(max(q.parts), dec),
                        os.path.join(args.out,
                                     f"sphere_g{args.g}_{name}_dec.txt"))
         print(f"g={args.g} new_vertices={len(sc.new_vertices)} "
@@ -365,8 +320,7 @@ def _cmd_absorb(args) -> int:
             "max_length": max((len(c) for c in cover.cycles), default=0),
             "cycles": [[[p, i] for p, i in cyc] for cyc in cover.cycles],
         }
-        _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                   args.out)
+        _write_out(serialize_json(payload), args.out)
         return 0 if cover.verified else 1
 
     gadget = (reference_c3_gadget() if args.reference
@@ -381,8 +335,7 @@ def _cmd_absorb(args) -> int:
         "dec_joint": [list(t) for t in gadget.dec_joint],
         "verified": gadget.verify(),
     }
-    _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-               args.out)
+    _write_out(serialize_json(payload), args.out)
     return 0
 
 

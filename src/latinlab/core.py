@@ -14,6 +14,8 @@ absorber modules work with.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -381,6 +383,12 @@ def to_triples(obj) -> TripleSystem:
 # text and JSON formats
 
 
+def _numbered_lines(text: str) -> list[tuple[int, str]]:
+    """The nonblank lines, stripped, with their 1-based line numbers."""
+    return [(no, ln) for no, ln in
+            enumerate((s.strip() for s in text.splitlines()), 1) if ln]
+
+
 def serialize_grid(obj: LatinRectangle) -> str:
     """The grid format: header 'n' for a LatinSquare, 'k n' otherwise."""
     head = str(obj.n) if isinstance(obj, LatinSquare) else f"{obj.k} {obj.n}"
@@ -389,17 +397,37 @@ def serialize_grid(obj: LatinRectangle) -> str:
 
 
 def parse_grid(text: str):
-    """Parse the grid format.
+    """Parse one grid of the grid format (see ``parse_grids``)."""
+    grids = parse_grids(text)
+    if len(grids) > 1:
+        raise InputError(f"expected one grid, found {len(grids)}")
+    return grids[0]
+
+
+def parse_grids(text: str) -> list:
+    """Parse the grids of the grid format written back to back, as
+    ``serialize_grid`` of each grid concatenated.
 
     Header 'n' gives an order-n square (or partial square when '.' cells
-    appear); header 'k n' gives a k x n rectangle.  Returns LatinSquare,
-    LatinRectangle, or TripleSystem accordingly.  Structures are checked.
+    appear); header 'k n' gives a k x n rectangle.  Each grid comes back
+    as a LatinSquare, LatinRectangle or TripleSystem accordingly, checked;
+    errors name the line of the input they are on.
     """
-    numbered = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
-    lines = [(i, ln) for i, ln in numbered if ln]
+    lines = _numbered_lines(text)
     if not lines:
         raise InputError("empty input")
-    head_no, head_ln = lines[0]
+    grids = []
+    i = 0
+    while i < len(lines):
+        obj, i = _read_grid(lines, i)
+        grids.append(obj)
+    return grids
+
+
+def _read_grid(lines: list[tuple[int, str]], i: int):
+    """The grid whose header is ``lines[i]``, and the index of the line
+    after it."""
+    head_no, head_ln = lines[i]
     head = head_ln.split()
     try:
         if len(head) == 1:
@@ -414,11 +442,13 @@ def parse_grid(text: str):
         raise InputError(f"line {head_no}: order must be positive, got {n}")
     if not 1 <= k <= n:
         raise InputError(f"line {head_no}: need 1 <= k <= n, got {k} x {n}")
-    if len(lines) != 1 + k:
-        raise InputError(f"expected {k} rows, found {len(lines) - 1}")
+    rows = lines[i + 1:i + 1 + k]
+    if len(rows) != k:
+        raise InputError(
+            f"line {head_no}: expected {k} rows, found {len(rows)}")
     cells: list[list[int]] = []
     holes = False
-    for no, ln in lines[1:]:
+    for no, ln in rows:
         row = []
         toks = ln.split()
         if len(toks) != n:
@@ -439,32 +469,34 @@ def parse_grid(text: str):
         cells.append(row)
     if holes:
         if len(head) != 1:
-            raise InputError("partial grids must be square (header 'n')")
-        ts = TripleSystem(
+            raise InputError(f"line {head_no}: a partial grid needs header n")
+        obj = TripleSystem(
             n,
             ((r, c, cells[r][c]) for r in range(n) for c in range(n)
              if cells[r][c] >= 0),
         )
-        rep = validate(ts)
-        if not rep:
-            raise InputError(rep.message)
-        return ts
-    obj = LatinSquare(cells) if len(head) == 1 else LatinRectangle(cells)
+    else:
+        obj = LatinSquare(cells) if len(head) == 1 else LatinRectangle(cells)
     rep = validate(obj)
     if not rep:
-        raise InputError(rep.message)
-    return obj
+        raise InputError(f"grid at line {head_no}: {rep.message}")
+    return obj, i + 1 + k
 
 
 def serialize_triples(ts: TripleSystem) -> str:
-    lines = [str(ts.n)]
-    lines += [f"{r} {c} {s}" for r, c, s in ts.triples]
-    return "\n".join(lines) + "\n"
+    return serialize_triple_rows(ts.n, ts.triples)
 
 
-def parse_triples(text: str) -> TripleSystem:
-    numbered = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
-    lines = [(i, ln) for i, ln in numbered if ln]
+def serialize_triple_rows(n: int, rows) -> str:
+    """The triple-list format: header 'n', then one 'a b c' line per row
+    of ``rows``, in the order given."""
+    return f"{n}\n" + "".join(f"{a} {b} {c}\n" for a, b, c in rows)
+
+
+def parse_triple_rows(text: str) -> tuple[int, list[tuple[int, int, int]]]:
+    """The header n and the rows of the triple-list format, in file
+    order, with no check beyond n >= 1 and three integers per row."""
+    lines = _numbered_lines(text)
     if not lines:
         raise InputError("empty input")
     head_no, head_ln = lines[0]
@@ -474,20 +506,49 @@ def parse_triples(text: str) -> TripleSystem:
         raise InputError(f"line {head_no}: bad header {head_ln!r}") from None
     if n < 1:
         raise InputError(f"line {head_no}: order must be positive, got {n}")
-    triples = []
+    rows = []
     for no, ln in lines[1:]:
         try:
             r, c, s = (int(t) for t in ln.split())
         except ValueError:
             raise InputError(f"line {no}: bad triple {ln!r}") from None
-        triples.append((r, c, s))
-    ts = TripleSystem(n, triples)
-    if len(ts) != len(triples):
+        rows.append((r, c, s))
+    return n, rows
+
+
+def parse_triples(text: str) -> TripleSystem:
+    """Parse the triple-list format as a partial Latin square, checked."""
+    n, rows = parse_triple_rows(text)
+    ts = TripleSystem(n, rows)
+    if len(ts) != len(rows):
         raise InputError("duplicate triple in input")
     rep = validate(ts)
     if not rep:
         raise InputError(rep.message)
     return ts
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, float):
+        return format(v, ".12g")
+    return str(v)
+
+
+def serialize_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV with a header row and newline line ends; floats are written
+    with '.12g' and bools as 0 and 1."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def serialize_json(obj) -> str:
+    """JSON indented by 2, keys sorted, with a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def serialize_tripartite(g: TripartiteGraph) -> str:

@@ -4,14 +4,14 @@ Every experiment is a pure function of its spec: a fixed master seed
 fans out to per-chunk substreams keyed by constant tags and chunk
 indices, and chunk structure never depends on the thread count, so
 reruns reproduce outputs bit for bit.  Results land as a CSV of raw
-rows plus a JSON summary that echoes the spec, embeds the acceptance
+rows plus a JSON summary that echoes the spec fields that set the
+outputs, embeds the acceptance
 thresholds, and records pass/fail per check.  Column layouts are
 documented in docs/experiments.md.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -29,7 +29,7 @@ from .absorb import (
     sphere_cover,
     sphere_certificates_ok,
 )
-from .core import InputError
+from .core import InputError, serialize_csv, serialize_json
 from .counting import (
     count_cuboctahedra_nondegenerate,
     count_cuboctahedra_total,
@@ -414,14 +414,6 @@ EXPERIMENTS = {
 }
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return str(v)
-
-
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute, write <out_dir>/<experiment>.{csv,json}, return the
     summary."""
@@ -431,26 +423,23 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     os.makedirs(spec.out_dir, exist_ok=True)
     header, rows, checks, extra = fn(spec)
 
-    csv_path = os.path.join(spec.out_dir, spec.experiment + ".csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    base = os.path.join(spec.out_dir, spec.experiment)
+    with open(base + ".csv", "w", newline="") as fh:
+        fh.write(serialize_csv(header, rows))
 
     summary = {
         "schema": 1,
         "version": __version__,
         "experiment": spec.experiment,
         "spec": {k: (list(v) if isinstance(v, tuple) else v)
-                 for k, v in asdict(spec).items()},
+                 for k, v in asdict(spec).items()
+                 if k not in ("threads", "out_dir")},
         "checks": [c.as_dict() for c in checks],
         "extra": extra,
-        "rows_csv": os.path.basename(csv_path),
+        "rows_csv": spec.experiment + ".csv",
     }
-    with open(os.path.join(spec.out_dir, spec.experiment + ".json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(base + ".json", "w") as fh:
+        fh.write(serialize_json(summary))
     return summary
 
 

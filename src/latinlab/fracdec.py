@@ -433,6 +433,11 @@ class RegParams:
     def __post_init__(self):
         if not (0.0 < self.p <= 1.0 and 0.0 < self.q <= 1.0):
             raise InputError("need p, q in (0, 1]")
+        if not self.C >= 1.0:
+            raise InputError(f"need C >= 1, got {self.C}: the band "
+                             "[1/C, C] is empty below 1")
+        if self.iters is not None and self.iters < 0:
+            raise InputError(f"need iters >= 0, got {self.iters}")
 
     @property
     def xi(self) -> float:

@@ -35,14 +35,15 @@ class RandomStream:
     FIRST_BLOCK = 1 << 6
     BLOCK = 1 << 14
 
-    def __init__(self, seed, stream: int = 0):
+    def __init__(self, seed):
         if isinstance(seed, np.random.SeedSequence):
             ss = seed
         else:
             if int(seed) < 0:
                 raise InputError(
                     f"seed must be a non-negative integer, got {seed}")
-            ss = np.random.SeedSequence((int(seed), int(stream)))
+            # the 0 is part of the entropy of every stream drawn so far
+            ss = np.random.SeedSequence((int(seed), 0))
         self.seed_sequence = ss
         self.generator = np.random.Generator(np.random.Philox(ss))
         self._buf: list[int] = []

@@ -15,10 +15,13 @@ from latinlab.core import (
     parse_triples,
     serialize_grid,
     serialize_tripartite,
+    serialize_triple_rows,
 )
 from latinlab.counting import count_intercalates, cuboctahedron_report
 from latinlab.experiments import _DEFAULTS, make_spec
 from latinlab.fracdec import complete_host, conforming_instance
+from latinlab.process import ProcessConfig, log_density_target, run_process
+from latinlab.rng import RandomStream
 
 from reference import all_triangles
 
@@ -125,7 +128,7 @@ def test_sample_square_deterministic_bytes(capsys, tmp_path):
                          "--count", "3", "--seed", "9", "--out", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
-    # three grids concatenate; the splitter in count reads them back
+    # three grids back to back; count reads each of them
     code, out, _ = run(capsys, "count", "intercalates", str(a))
     assert code == 0
     assert len(out.splitlines()) == 4
@@ -188,15 +191,23 @@ def test_sample_rectangle_budget_is_an_input_error(capsys, monkeypatch):
 
 def test_process_run_trajectory_and_final(capsys, tmp_path):
     final = tmp_path / "final.txt"
-    code, out, _ = run(capsys, "process", "run", "--n", "10", "--g", "6",
-                       "--seed", "4", "--checkpoints", "5,20",
-                       "--out", str(final))
+    code, out, err = run(capsys, "process", "run", "--n", "10", "--g", "6",
+                         "--seed", "4", "--checkpoints", "5,20",
+                         "--out", str(final))
     assert code == 0
+    res = run_process(10, RandomStream(4), ProcessConfig(girth=6))
     lines = out.splitlines()
-    assert lines[0] == "t,available,chosen"
-    assert lines[1].startswith("5,")
-    assert len(lines) == 3
+    assert lines[0] == "t,available,safe,chosen"
+    assert lines[1:] == [
+        f"{t},{res.available_trace[t]},{res.trace[t]},"
+        + " ".join(map(str, res.order[t])) for t in (5, 20)]
+    assert err == (
+        f"# steps={res.steps} coverage={res.coverage:.4f} stalled="
+        f"{int(res.stalled)} log_density={res.log_density():.4f} "
+        f"model={res.model_log_density():.4f} "
+        f"target={log_density_target(10):.4f}\n")
     placed = parse_triples(final.read_text())
+    assert placed == res.placed
     assert count_intercalates(placed) == 0
 
 
@@ -340,12 +351,8 @@ def test_experiment_reruns_are_byte_identical(capsys, tmp_path):
                                "--out", str(out))
             # 64 draws may miss a band; only the bytes matter here
             assert code in (0, 1) and "internal error" not in err
-            csv_bytes = (out / f"{name}.csv").read_bytes()
-            # the JSON echoes the worker count and out_dir; blank both
-            summary = json.loads((out / f"{name}.json").read_text())
-            assert summary["spec"]["threads"] == int(t)
-            summary["spec"]["threads"] = summary["spec"]["out_dir"] = None
-            outputs.append((csv_bytes, summary))
+            outputs.append(((out / f"{name}.csv").read_bytes(),
+                            (out / f"{name}.json").read_bytes()))
         assert outputs[0] == outputs[1], name
 
 
@@ -413,10 +420,16 @@ def test_internal_error_exits_one(capsys, monkeypatch, xor_square):
     assert "internal error: ValueError('counter bug')" in err
 
 
+_K4 = "4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("3\n0 1 2\n1 2 0\n2 0 257\n", "line 4: symbol 257 out of range"),
     ("3 2\n0 1\n1 0\n0 0\n", "line 1: need 1 <= k <= n, got 3 x 2"),
     ("x\n", "bad header"),
+    (_K4 + _K4.replace("3 2\n", "3 9\n", 1),
+     "line 8: symbol 9 out of range"),
+    (_K4 + _K4 + "4\n0 1 2 3\n", "line 11: expected 4 rows, found 1"),
 ])
 def test_bad_grid_files_are_input_errors(capsys, tmp_path, text, message):
     path = tmp_path / "bad.txt"
@@ -488,9 +501,18 @@ def test_boost_force_with_unequal_pair_counts_is_input_error(capsys,
 def test_bad_parameters_are_input_errors(capsys, tmp_path):
     graph = tmp_path / "graph.json"
     graph.write_text("{not json")
+    host, cand = tmp_path / "host.json", tmp_path / "cand.txt"
+    tset = conforming_instance(2, 0)
+    host.write_text(serialize_tripartite(tset.host))
+    cand.write_text(serialize_triple_rows(2, tset.tris.tolist()))
+    boost = ["boost", "--graph", str(host), "--triangles", str(cand),
+             "--q", "1", "--out", str(tmp_path / "boost")]
     for argv in (["sample", "square", "--n", "0"],
                  ["sample", "square", "--n", "5", "--burnin", "-1"],
                  ["boost", "--graph", str(graph), "--triangles", str(graph)],
+                 boost + ["--C", "0"],
+                 boost + ["--C", "0.5"],
+                 boost + ["--iters", "-3"],
                  ["process", "run", "--n", "5", "--g", "4"],
                  ["process", "run", "--n", "5", "--m", "-3"],
                  ["sample", "square", "--n", "5", "--seed", "-1"],

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latinlab.core import TripartiteGraph
+from latinlab.core import InputError, TripartiteGraph
 from latinlab.fracdec import (
     MASK_CAP,
     SAMPLE_BUDGET,
@@ -512,6 +512,17 @@ def test_boost_refuses_nonconforming_without_force():
         boost(tset, RegParams(p=1.0, q=2 / 3), RandomStream(0))
     res = boost(tset, RegParams(p=1.0, q=2 / 3), RandomStream(0), force=True)
     assert res.trace[-1].max_disc <= 1e-9  # layered hosts stay exact
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"C": 0.0}, "need C >= 1"),
+    ({"C": 0.5}, "need C >= 1"),
+    ({"C": float("nan")}, "need C >= 1"),
+    ({"iters": -3}, "need iters >= 0"),
+])
+def test_reg_params_reject_an_empty_band_and_negative_iters(kwargs, message):
+    with pytest.raises(InputError, match=message):
+        RegParams(p=1.0, q=0.9, **kwargs)
 
 
 def test_boost_selection_does_not_depend_on_the_check():
